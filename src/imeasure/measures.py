@@ -7,12 +7,33 @@ directions are subset-lattice transforms over bitmask-indexed numpy arrays:
     measure(atom with complemented mask U) = - sum_{T >= U} (-1)^|T-U| h(T)
     h(B) = (sum over all atoms) - (sum over atoms with complemented mask >= B)
 
+Joint entropies come from one engine, `_lattice_entropies`, which returns the
+entropies of a whole interval of the subset lattice: every set `base | S` with
+`S` inside `free`.  The full entropy vector is the interval from the empty set,
+a single atom query the interval from its complemented set, and one marginal
+an interval of one set.  Variables constant on the support are dropped first,
+since they change no entropy.  With `s` support rows, `k` free variables and
+`C` the product of the alphabet sizes counted on the support, the engine takes
+one of two paths:
+
+- dense, when C <= min(DENSE_MAX_CELLS, DENSE_RATIO * s): build the joint
+  probability tensor and walk the lattice depth-first, each child marginal one
+  axis-sum of its parent.  Only the tensors on the current path are alive,
+  about twice the joint tensor.  Cost: about prod(1 + alphabet) cells plus one
+  small numpy step per set.
+- sparse, otherwise: partition the support rows by the symbols of the set,
+  refining one variable at a time; a row's label becomes the dense rank of
+  (label, symbol), found by argsort and run starts, and the marginal weights
+  are sums over the runs (`np.add.reduceat`).  Labels stay below `s`, so no
+  code overflows however many variables there are.  Label rows of many sets
+  are refined together in batches of at most SPARSE_BATCH_CELLS labels.
+  Cost: about 2^k s log s.
+
 Tolerances: "vanishes" always means abs(value) <= tol, never a signed test.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,56 +47,117 @@ MAX_ENUM_VARS = 16  # full-lattice transforms are O(n 2^n) space/time
 MAX_VARS = 24       # single-atom queries from a distribution
 PROB_TOL = 1e-12
 DEFAULT_TOL = 1e-9
+DENSE_MAX_CELLS = 1 << 20      # largest joint tensor of the dense path (8 MB)
+DENSE_RATIO = 16               # dense path while cells <= DENSE_RATIO * support rows
+SPARSE_BATCH_CELLS = 1 << 16   # labels refined by one numpy call on the sparse path
+
+
+def _log_base(base) -> float:
+    """Natural log of an entropy base, which must be a finite number above 1."""
+    base = float(base)
+    if not 1.0 < base < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"log base must be a finite number above 1, got {base}")
+    return math.log(base)
+
+
+def _config_array(configs, n: int) -> np.ndarray:
+    """Configurations as an (s, n) int64 array; a malformed one raises ValueError."""
+    try:
+        x = np.array(configs, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        x = None
+    if x is not None and x.shape == (len(configs), n):
+        return x
+    if len(configs) == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    for i, c in enumerate(configs):
+        if np.shape(c) != (n,):
+            raise ValueError(f"configuration {c!r} in probs row {i} does not have {n} symbols")
+    raise ValueError("configuration symbols must be integers")
 
 
 class Distribution:
     """A sparse joint distribution of n finite variables.
 
-    `probs` maps configurations (n-tuples of 0-based symbols) to probability;
-    only the support is stored.  Probabilities must be nonnegative and sum to
-    one within 1e-12.
+    Only the support is stored: `support` is an (s, n) int64 array of distinct
+    configurations (0-based symbols) in lexicographic order and `weights` their
+    probabilities, all positive; both are read-only.  Probabilities must be
+    finite, nonnegative and sum to one within 1e-12.  `probs` gives the same
+    data as a configuration -> probability dict.
     """
 
-    __slots__ = ("n", "alphabets", "probs")
+    __slots__ = ("n", "alphabets", "support", "weights")
 
     def __init__(self, n: int, alphabets, probs: dict):
+        self._load(n, alphabets, list(probs), list(probs.values()))
+
+    @classmethod
+    def _from_rows(cls, n: int, alphabets, configs, ps) -> "Distribution":
+        d = cls.__new__(cls)
+        d._load(n, alphabets, configs, ps)
+        return d
+
+    def _load(self, n: int, alphabets, configs, ps) -> None:
+        """Validate the rows in one vectorised pass and store the support."""
         if not 1 <= n <= MAX_VARS:
             raise ValueError(f"variable count {n} outside 1..{MAX_VARS}")
         alphabets = tuple(int(a) for a in alphabets)
         if len(alphabets) != n or any(a < 1 for a in alphabets):
             raise ValueError("alphabets must list one positive size per variable")
-        total = 0.0
-        clean = {}
-        for x, p in probs.items():
-            x = tuple(int(c) for c in x)
-            if len(x) != n or any(not 0 <= c < a for c, a in zip(x, alphabets)):
-                raise ValueError(f"configuration {x} outside the alphabets")
-            if p < -PROB_TOL:
-                raise ValueError(f"negative probability {p} at {x}")
-            if p > 0:
-                clean[x] = clean.get(x, 0.0) + float(p)
-            total += p
+        x = _config_array(configs, n)
+        try:
+            p = np.array(ps, dtype=float)
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"probabilities must be numbers ({e})") from None
+        if p.shape != (len(x),):
+            raise ValueError("need one probability per configuration")
+        sizes = np.array([min(a, np.iinfo(np.int64).max) for a in alphabets])
+        bad = ((x < 0) | (x >= sizes)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"configuration {tuple(x[bad.argmax()].tolist())} outside the alphabets")
+        for flags, what in ((~np.isfinite(p), "non-finite"), (p < -PROB_TOL, "negative")):
+            if flags.any():
+                i = flags.argmax()
+                raise ValueError(f"{what} probability {p[i]} at {tuple(x[i].tolist())}")
+        order = np.lexsort(x.T[::-1])  # stable: equal rows keep their input order
+        x, p = x[order], p[order]
+        dup = (x[1:] == x[:-1]).all(axis=1)
+        if dup.any():
+            i = dup.argmax()
+            raise ValueError(
+                f"duplicate configuration {tuple(x[i].tolist())} in probs rows {order[i]} and {order[i + 1]}"
+            )
+        total = float(p.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        keep = p > 0
         self.n = n
         self.alphabets = alphabets
-        self.probs = clean
+        self.support = x[keep]
+        self.weights = p[keep]
+        self.support.flags.writeable = False
+        self.weights.flags.writeable = False
+
+    @property
+    def probs(self) -> dict[tuple, float]:
+        """The support as a new configuration -> probability dict."""
+        return dict(zip(map(tuple, self.support.tolist()), self.weights.tolist()))
 
     def marginal(self, on) -> dict[tuple, float]:
         """Marginal distribution on a vertex set, iterating the support only."""
         m = as_mask(on, self.n)
         idx = [i for i in range(self.n) if (m >> i) & 1]
         out: dict[tuple, float] = {}
-        for x, p in self.probs.items():
-            key = tuple(x[i] for i in idx)
+        for key, p in zip(map(tuple, self.support[:, idx].tolist()), self.weights.tolist()):
             out[key] = out.get(key, 0.0) + p
         return out
 
     def to_json(self) -> dict:
+        rows = zip(self.support.tolist(), self.weights.tolist())
         return {
             "n": self.n,
             "alphabets": list(self.alphabets),
-            "probs": [{"x": list(x), "p": p} for x, p in sorted(self.probs.items())],
+            "probs": [{"x": x, "p": p} for x, p in rows],
         }
 
     @classmethod
@@ -83,30 +165,133 @@ class Distribution:
         for key in ("n", "alphabets", "probs"):
             if key not in d:
                 raise ValueError(f"distribution JSON missing field {key!r}")
-        probs = {}
-        for row in d["probs"]:
-            if "x" not in row or "p" not in row:
-                raise ValueError("distribution JSON probs entries need fields 'x' and 'p'")
-            probs[tuple(row["x"])] = float(row["p"])
-        return cls(int(d["n"]), d["alphabets"], probs)
+        try:
+            configs = [row["x"] for row in d["probs"]]
+            ps = [row["p"] for row in d["probs"]]
+        except (KeyError, TypeError):
+            raise ValueError("distribution JSON probs entries need fields 'x' and 'p'") from None
+        return cls._from_rows(int(d["n"]), d["alphabets"], configs, ps)
 
 
-def _entropy_of_weights(weights, log_base: float) -> float:
-    acc = 0.0
-    for p in weights:
-        if p > 0.0:
-            acc -= p * math.log(p)
-    return acc / log_base
+# -- the lattice entropy engine ----------------------------------------------
+
+
+def _columns(p: Distribution, mask: int) -> tuple[list[int], list[np.ndarray], list[int]]:
+    """Variables of `mask` that vary on the support: their positions within
+    the mask (0-based, ascending), columns of symbol ranks, and symbol counts."""
+    if mask == 0:
+        return [], [], []
+    x = p.support[:, [b.bit_length() - 1 for b in iter_bits(mask)]]
+    ordered = np.sort(x, axis=0)
+    counts = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+    gaps = (ordered[-1] + 1 != counts).tolist()  # some symbols unused: rank the rest
+    kept = np.flatnonzero(counts > 1).tolist()
+    cols = [np.unique(x[:, j], return_inverse=True)[1] if gaps[j] else x[:, j] for j in kept]
+    return kept, cols, counts[kept].tolist()
+
+
+def _dense_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
+    """Entropies (natural log) of base | S for every S within the free columns.
+
+    Builds the joint tensor with the free axes first, then walks the lattice
+    depth-first, dropping free axes below the last one dropped, so that each
+    set is reached once and each child marginal is one axis-sum of its parent.
+    """
+    cols = list(free_cols) + list(base_cols)
+    shape = tuple(int(y.max()) + 1 for y in cols)
+    flat = np.ravel_multi_index(cols, shape) if cols else np.zeros(len(w), dtype=np.intp)
+    joint = np.bincount(flat, weights=w, minlength=math.prod(shape)).reshape(shape)
+    k = len(free_cols)
+    out = np.empty(1 << k)
+
+    def walk(t: np.ndarray, limit: int, idx: int) -> None:
+        v = t[t > 0]
+        out[idx] = -(v @ np.log(v))
+        for i in range(limit):
+            walk(t.sum(axis=i), i, idx ^ (1 << i))
+
+    walk(joint, k, (1 << k) - 1)
+    return out
+
+
+def _refine(labels: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every row's partition of the support by one more variable.
+
+    `labels` is (r, s): one row per set, each support row labelled by the dense
+    rank of its symbols on that set; `y` holds the new variable's symbol ranks.
+    Returns the refined labels and each row's entropy (natural log).
+    """
+    r, s = labels.shape
+    key = labels * s + y  # below s * s
+    order = np.argsort(key, axis=1)
+    key = np.take_along_axis(key, order, axis=1)
+    start = np.ones((r, s), dtype=bool)
+    np.not_equal(key[:, 1:], key[:, :-1], out=start[:, 1:])
+    refined = np.empty_like(labels)
+    np.put_along_axis(refined, order, np.cumsum(start, axis=1) - 1, axis=1)
+    runs = np.flatnonzero(start)
+    mass = np.add.reduceat(w[order].ravel(), runs)
+    ent = -np.add.reduceat(mass * np.log(mass), np.flatnonzero(runs % s == 0))
+    return refined, ent
+
+
+def _sparse_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
+    """Entropies (natural log) of base | S for every S within the free columns.
+
+    Starts from the partition by the base columns, doubles a batch of label
+    rows breadth-first while it fits SPARSE_BATCH_CELLS, then refines that
+    batch depth-first over the remaining free columns.
+    """
+    labels, ent = np.zeros((1, len(w)), dtype=np.intp), np.zeros(1)
+    for y in base_cols:
+        labels, ent = _refine(labels, y, w)
+    k = len(free_cols)
+    j = 0
+    while j < k and 2 * labels.size <= SPARSE_BATCH_CELLS:
+        more, more_ent = _refine(labels, free_cols[j], w)
+        labels, ent = np.concatenate([labels, more]), np.concatenate([ent, more_ent])
+        j += 1
+    out = np.empty(1 << k)
+
+    def walk(labels: np.ndarray, ent: np.ndarray, first: int, offset: int) -> None:
+        out[offset : offset + len(ent)] = ent
+        for v in range(first, k):
+            walk(*_refine(labels, free_cols[v], w), v + 1, offset | (1 << v))
+
+    walk(labels, ent, j, 0)
+    return out
+
+
+def _lattice_entropies(p: Distribution, base: int, free: int) -> np.ndarray:
+    """Entropies (natural log) of base | S for every S within `free`.
+
+    Entry i belongs to the S whose members, listed in ascending order, are
+    the free variables at the set bits of i.
+    """
+    kept, free_cols, free_sizes = _columns(p, free)
+    _, base_cols, base_sizes = _columns(p, base)
+    cells = math.prod(free_sizes + base_sizes)
+    dense = cells <= min(DENSE_MAX_CELLS, DENSE_RATIO * len(p.weights))
+    ent = (_dense_walk if dense else _sparse_walk)(free_cols, base_cols, p.weights)
+    if base == 0:
+        ent[0] = 0.0
+    k = free.bit_count()
+    if len(kept) < k:  # constant variables: S shares the entropy of its varying part
+        i = np.arange(1 << k)
+        varying = np.zeros(1 << k, dtype=np.intp)
+        for pos, j in enumerate(kept):
+            varying |= ((i >> j) & 1) << pos
+        ent = ent[varying]
+    return ent
 
 
 def marginal_entropy(p: Distribution, on, base: float = 2.0) -> float:
     """Entropy of the marginal on a vertex set; empty set gives 0."""
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    lb = _log_base(base)
     m = as_mask(on, p.n)
     if m == 0:
         return 0.0
-    return _entropy_of_weights(p.marginal(m).values(), math.log(base))
+    return float(_lattice_entropies(p, m, 0)[0]) / lb
 
 
 class EntropyVector:
@@ -117,8 +302,7 @@ class EntropyVector:
     def __init__(self, n: int, base: float, table: np.ndarray):
         if not 1 <= n <= MAX_ENUM_VARS:
             raise ValueError(f"variable count {n} outside 1..{MAX_ENUM_VARS}")
-        if base <= 1.0:
-            raise ValueError("log base must exceed 1")
+        _log_base(base)
         if table.shape != (1 << n,):
             raise ValueError(f"entropy table must have 2^{n} entries")
         self.n = n
@@ -177,6 +361,7 @@ class IMeasureVector:
     def __init__(self, n: int, base: float, table: np.ndarray):
         if not 1 <= n <= MAX_ENUM_VARS:
             raise ValueError(f"variable count {n} outside 1..{MAX_ENUM_VARS}")
+        _log_base(base)
         if table.shape != (1 << n,):
             raise ValueError(f"measure table must have 2^{n} entries")
         self.n = n
@@ -244,13 +429,8 @@ def entropy_vector(p: Distribution, base: float = 2.0) -> EntropyVector:
     """All 2^n - 1 marginal entropies of a distribution."""
     if p.n > MAX_ENUM_VARS:
         raise ValueError(f"full entropy vector supports up to {MAX_ENUM_VARS} variables")
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
-    lb = math.log(base)
-    table = np.zeros(1 << p.n)
-    for m in range(1, 1 << p.n):
-        table[m] = _entropy_of_weights(p.marginal(m).values(), lb)
-    return EntropyVector(p.n, base, table)
+    lb = _log_base(base)
+    return EntropyVector(p.n, base, _lattice_entropies(p, 0, (1 << p.n) - 1) / lb)
 
 
 def mu_from_entropy(h: EntropyVector) -> IMeasureVector:
@@ -275,20 +455,17 @@ def measure_from_distribution(p: Distribution, base: float = 2.0) -> IMeasureVec
 def atom_measure_from_distribution(p: Distribution, a: Atom, base: float = 2.0) -> float:
     """Single atom value straight from the distribution.
 
-    Alternating sum of 2^weight marginal entropies; avoids building the full
-    table, so it works beyond the full-enumeration cap.
+    Alternating sum of the 2^weight entropies of the complemented set joined
+    with each subset of the plain variables; avoids building the full table,
+    so it works beyond the full-enumeration cap.
     """
     if a.n != p.n:
         raise ValueError("atom over a different variable count")
-    comp = a.complemented
-    support = a.support_mask
-    acc = -marginal_entropy(p, comp, base) if comp else 0.0
-    sub = support
-    while sub:
-        sign = -1.0 if sub.bit_count() % 2 == 0 else 1.0
-        acc += sign * marginal_entropy(p, sub | comp, base)
-        sub = (sub - 1) & support
-    return acc
+    lb = _log_base(base)
+    signs = np.array([-1.0])  # -1 where the plain subset has even size
+    for _ in range(a.weight):
+        signs = np.concatenate([signs, -signs])
+    return float(signs @ _lattice_entropies(p, a.complemented, a.support_mask)) / lb
 
 
 # -- expressions over the measure --------------------------------------------
@@ -492,23 +669,15 @@ def generate_mrf(g: Graph, seed: int, alphabet: int = 2) -> Distribution:
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("random field generation needs a graph on the full universe")
     rng = np.random.default_rng(seed)
-    cliques = maximal_cliques(g)
-    tables = []
-    for cmask in cliques:
-        idx = [i for i in range(g.n) if (cmask >> i) & 1]
-        tables.append((idx, rng.uniform(0.2, 1.0, size=alphabet ** len(idx))))
-    probs = {}
-    for x in itertools.product(range(alphabet), repeat=g.n):
-        w = 1.0
-        for idx, tab in tables:
-            key = 0
-            for i in idx:
-                key = key * alphabet + x[i]
-            w *= tab[key]
-        probs[x] = w
-    total = sum(probs.values())
-    probs = {x: w / total for x, w in probs.items()}
-    return Distribution(g.n, (alphabet,) * g.n, probs)
+    joint = np.ones((alphabet,) * g.n)
+    for cmask in maximal_cliques(g):
+        # the table lists the clique's configurations with its lowest vertex
+        # most significant, which is C order over the clique's axes
+        shape = [alphabet if (cmask >> i) & 1 else 1 for i in range(g.n)]
+        joint = joint * rng.uniform(0.2, 1.0, size=alphabet ** cmask.bit_count()).reshape(shape)
+    configs = np.indices(joint.shape).reshape(g.n, -1).T
+    total = sum(joint.ravel().tolist())  # left to right, so seeded fields keep their exact values
+    return Distribution._from_rows(g.n, (alphabet,) * g.n, configs, joint.ravel() / total)
 
 
 # -- subfield restriction ----------------------------------------------------------

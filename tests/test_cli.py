@@ -230,6 +230,41 @@ def test_over_cap_exits_two(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def _dist_with_row(tmp_path, p_text):
+    # JSON has no NaN or Infinity literals, but Python's json module reads them
+    p = tmp_path / "d.json"
+    p.write_text('{"n": 2, "alphabets": [2, 2], "probs": [{"x": [0, 0], "p": 1.0}, '
+                 '{"x": [1, 1], "p": %s}]}' % p_text)
+    return str(p)
+
+
+def assert_input_error(code, out, err, needle):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
+
+
+def test_nan_probability_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "mu", "--dist", _dist_with_row(tmp_path, "NaN"))
+    assert_input_error(code, out, err, "non-finite probability nan")
+
+
+def test_infinite_probability_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "entropy", "--dist", _dist_with_row(tmp_path, "Infinity"))
+    assert_input_error(code, out, err, "non-finite probability inf")
+
+
+def test_duplicate_rows_exit_two(capsys, tmp_path):
+    d = {"n": 2, "alphabets": [2, 2], "probs": [{"x": [0, 1], "p": 0.5}, {"x": [0, 1], "p": 0.5}]}
+    code, out, err = run_cli(capsys, "mu", "--dist", write_json(tmp_path, "d.json", d))
+    assert_input_error(code, out, err, "duplicate configuration (0, 1) in probs rows 0 and 1")
+
+
+def test_bad_log_base_exits_two(capsys):
+    for base in ("nan", "inf", "1", "0.5"):
+        code, out, err = run_cli(capsys, "entropy", "--dist", XOR3, "--base", base)
+        assert_input_error(code, out, err, "log base must be a finite number above 1")
+
+
 def test_missing_input_exits_two(capsys):
     code, _, err = run_cli(capsys, "mu")
     assert code == 2 and "supply" in err

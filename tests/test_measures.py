@@ -73,6 +73,39 @@ def test_distribution_validation():
         Distribution(2, (2, 2), {(0, 0): 1.5, (1, 1): -0.5})
 
 
+def test_distribution_rejects_nan_probability():
+    with pytest.raises(ValueError, match="non-finite probability nan"):
+        Distribution(2, (2, 2), {(0, 0): 1.0, (1, 1): float("nan")})
+
+
+def test_distribution_rejects_infinite_probability():
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite probability"):
+            Distribution(2, (2, 2), {(0, 0): 1.0, (1, 1): bad})
+
+
+def test_distribution_json_rejects_duplicate_rows():
+    d = {"n": 2, "alphabets": [2, 2], "probs": [
+        {"x": [0, 0], "p": 0.5}, {"x": [1, 1], "p": 0.25}, {"x": [0, 0], "p": 0.25}]}
+    with pytest.raises(ValueError, match=r"duplicate configuration \(0, 0\) in probs rows 0 and 2"):
+        Distribution.from_json(d)
+
+
+def test_log_base_must_be_finite_and_above_one(xor3):
+    a = Atom.of(3, [])
+    h = entropy_vector(xor3, 2.0)
+    for bad in (float("nan"), math.inf, 1.0, 0.5, -2.0):
+        for call in (
+            lambda: entropy_vector(xor3, bad),
+            lambda: marginal_entropy(xor3, [1], bad),
+            lambda: atom_measure_from_distribution(xor3, a, bad),
+            lambda: measure_from_distribution(xor3, bad),
+            lambda: EntropyVector(3, bad, h.table),
+        ):
+            with pytest.raises(ValueError, match="log base"):
+                call()
+
+
 def test_distribution_marginal_and_json(xor3):
     marg = xor3.marginal([1, 3])
     assert marg == {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
