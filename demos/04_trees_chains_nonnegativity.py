@@ -16,10 +16,10 @@ from imeasure import (
     chain_inequality_valid,
     check_mrf,
     generate_mrf,
-    g_star_paths,
     measure_from_distribution,
     nonnegativity_report,
     reduce_atom,
+    subfield_graph,
     subtree_condition,
 )
 
@@ -51,7 +51,7 @@ fixture = Path(__file__).parent.parent / "tests" / "fixtures" / "tree12.json"
 tree = Graph.from_json(json.loads(fixture.read_text()))
 ok = subtree_condition(tree, [1, 4, 8, 9, 12])
 print("\nkeep {1,4,8,9,12}: still a tree ->", ok.is_subtree)
-print("   boundary graph:", sorted(g_star_paths(tree, [1, 4, 8, 9, 12]).edges))
+print("   boundary graph:", sorted(subfield_graph(tree, [1, 4, 8, 9, 12]).g_star.edges))
 bad_keep = subtree_condition(tree, [1, 4, 7, 8, 9, 12])
 print("keep {1,4,7,8,9,12}: still a tree ->", bad_keep.is_subtree,
       f"(vertex {bad_keep.witness_vertex} reaches {bad_keep.witness_targets})")

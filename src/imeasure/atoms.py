@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from ._bits import as_mask, iter_bits, verts_of
+from ._bits import as_mask, iter_bits, submasks, verts_of
 from .graphs import Graph
 
 MAX_ATOM_VARS = 16  # full atom enumeration is O(2^n); cap it
@@ -296,46 +296,9 @@ def image_of_fcmi(k: FCMI) -> AtomSet:
     _check_enum_cap(k.n)
     full = (1 << k.n) - 1
     bits = 0
-    free = full & ~k.given
-    # enumerate supports: submasks of the complement of the given set
-    w = free
-    while True:
+    for w in submasks(full & ~k.given):  # supports avoiding the given set
         if sum(1 for q in k.groups if w & q) >= 2:
             bits |= 1 << (full & ~w)
-        if w == 0:
-            break
-        w = (w - 1) & free
-    return AtomSet(k.n, bits)
-
-
-def image_of_fcmi_by_parts(k: FCMI) -> AtomSet:
-    """Same image, generated part by part from the defining form.
-
-    Enumerates every choice of per-group subsets with at least two nonempty
-    and records the resulting atom.  Exponential in each group size; kept as
-    the independent cross-check for image_of_fcmi.
-    """
-    if not k.is_full:
-        raise ValueError("image_of_fcmi_by_parts needs a full statement")
-    _check_enum_cap(k.n)
-    full = (1 << k.n) - 1
-
-    def submasks(q):
-        s = q
-        while True:
-            yield s
-            if s == 0:
-                return
-            s = (s - 1) & q
-
-    bits = 0
-    for choice in itertools.product(*(list(submasks(q)) for q in k.groups)):
-        if sum(1 for w in choice if w) < 2:
-            continue
-        support = 0
-        for w in choice:
-            support |= w
-        bits |= 1 << (full & ~support)
     return AtomSet(k.n, bits)
 
 
@@ -350,15 +313,6 @@ def image_of_partial(k: FCMI) -> list[AtomSet]:
     _check_enum_cap(k.n)
     full = (1 << k.n) - 1
     outside = full & ~k.scope
-
-    def submasks(q):
-        s = q
-        while True:
-            yield s
-            if s == 0:
-                return
-            s = (s - 1) & q
-
     parts = []
     for choice in itertools.product(*(list(submasks(q)) for q in k.groups)):
         if sum(1 for w in choice if w) < 2:
@@ -367,12 +321,8 @@ def image_of_partial(k: FCMI) -> list[AtomSet]:
         for w in choice:
             base |= w
         bits = 0
-        ext = outside
-        while True:
+        for ext in submasks(outside):
             bits |= 1 << (full & ~(base | ext))
-            if ext == 0:
-                break
-            ext = (ext - 1) & outside
         parts.append(AtomSet(k.n, bits))
     parts.sort(key=lambda s: s.bits)
     return parts
@@ -383,7 +333,8 @@ def recover_fcmi(img: AtomSet) -> FCMI:
 
     The unique maximum-weight atom pins down the conditioning set; the groups
     are then the classes of the pair relation "the atom supported exactly by
-    {l, l'} is absent from the image".  That relation must come out transitive
+    {l, l'} is absent from the image", read as the components of
+    recover_graph(img) outside that set.  The relation must come out transitive
     and the reconstructed statement must reproduce the input image exactly,
     otherwise the input is not an image and NotAnFcmiImage is raised.
     """
@@ -391,13 +342,8 @@ def recover_fcmi(img: AtomSet) -> FCMI:
     full = (1 << n) - 1
     if len(img) == 0:
         raise NotAnFcmiImage("empty atom set")
-    best_w = -1
-    best = []
-    for a in img:
-        if a.weight > best_w:
-            best_w, best = a.weight, [a]
-        elif a.weight == best_w:
-            best.append(a)
+    best_w = max(a.weight for a in img)
+    best = [a for a in img if a.weight == best_w]
     if len(best) != 1:
         raise NotAnFcmiImage(f"no unique maximum-weight atom (found {len(best)})")
     given = best[0].complemented
@@ -405,35 +351,17 @@ def recover_fcmi(img: AtomSet) -> FCMI:
     if len(rest) < 2:
         raise NotAnFcmiImage("fewer than two variables outside the conditioning set")
 
-    # union-find over the pair relation
-    parent = {v: v for v in rest}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    related = {}
-    for l, lp in itertools.combinations(rest, 2):
-        pair = (1 << (l - 1)) | (1 << (lp - 1))
-        rel = not img.has_cmask(full & ~pair)
-        related[(l, lp)] = rel
-        if rel:
-            parent[find(l)] = find(lp)
-
-    groups: dict[int, int] = {}
-    for v in rest:
-        r = find(v)
-        groups[r] = groups.get(r, 0) | 1 << (v - 1)
+    related = recover_graph(img)  # edge iff the pair's private atom is absent
+    groups = related.component_masks(given)
+    group_of = {v: i for i, q in enumerate(groups) for v in verts_of(q)}
     # transitivity check: within one class every pair must be related
     for l, lp in itertools.combinations(rest, 2):
-        if (find(l) == find(lp)) != related[(l, lp)]:
+        if (group_of[l] == group_of[lp]) != related.has_edge(l, lp):
             raise NotAnFcmiImage(f"pair relation not transitive at ({l},{lp})")
     if len(groups) < 2:
         raise NotAnFcmiImage("relation merges everything into one group")
 
-    k = FCMI(n, given, tuple(groups.values()))
+    k = FCMI(n, given, tuple(groups))
     if image_of_fcmi(k) != img:
         raise NotAnFcmiImage("atom set is not the image of the reconstructed statement")
     return k

@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .atoms import Atom, AtomSet, AtomType, type_of_atom
-from .graphs import Graph
-from .subfield import g_star_paths
+from .atoms import Atom, AtomSet, AtomType, image_of_graph, type_of_atom
+from .graphs import Graph, clique_edges
 
 
 class Action(str, Enum):
@@ -43,17 +42,10 @@ def elimination_sequence(g: Graph) -> list[Graph]:
     for m in range(g.n - 1, 0, -1):
         top = m + 1
         edges = set((u, v) for u, v in cur.edges if v != top)  # edges are sorted pairs
-        edges.update(_pairs(cur.neighbor_set({top})))
+        edges |= clique_edges(cur.adjacency(top))
         cur = Graph(m, edges)
         seq[m - 1] = cur
     return seq
-
-
-def _pairs(vs):
-    vs = sorted(vs)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            yield vs[i], vs[j]
 
 
 def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
@@ -71,9 +63,7 @@ def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
     g_prev, g_cur = seq[m - 2], seq[m - 1]
     if type_of_atom(g_prev, a) is AtomType.TYPE_II:
         raise ValueError("disconnected atoms stay suppressed; classify connected atoms only")
-    gamma = 0
-    for v in g_cur.neighbor_set({m}):
-        gamma |= 1 << (v - 1)
+    gamma = g_cur.adjacency(m)
     plain_gamma = (gamma & ~a.complemented).bit_count()
     if plain_gamma == 0:
         return Action.EXCLUDE
@@ -152,11 +142,9 @@ def build_plan(g: Graph) -> DiagramPlan:
             if type_of_atom(g_prev, a) is AtomType.TYPE_I:
                 step[a] = classify_atom(seq, m, a)
         steps.append(step)
-    final_bits = 0
-    for c in range((1 << g.n) - 1):
-        if g.component_count(c) == 1:
-            final_bits |= 1 << c
-    return DiagramPlan(g.n, tuple(seq), tuple(steps), AtomSet(g.n, final_bits))
+    every_atom = (1 << ((1 << g.n) - 1)) - 1
+    final = AtomSet(g.n, every_atom & ~image_of_graph(g).bits)  # the connected atoms
+    return DiagramPlan(g.n, tuple(seq), tuple(steps), final)
 
 
 def export_plan(plan: DiagramPlan, fmt: str = "json") -> str:
@@ -188,24 +176,3 @@ def parse_plan(text: str) -> DiagramPlan:
     """Inverse of export_plan(..., "json")."""
     return DiagramPlan.from_json(json.loads(text))
 
-
-def relabel_atoms(atoms: AtomSet, mapping: dict[int, int]) -> AtomSet:
-    """Apply a variable relabeling to every atom of a set."""
-    n = atoms.n
-    bits = 0
-    for a in atoms:
-        c = 0
-        for v in a.complemented_set:
-            c |= 1 << (mapping[v] - 1)
-        bits |= 1 << c
-    return AtomSet(n, bits)
-
-
-def cross_check_sequence(g: Graph) -> bool:
-    """Elimination agrees with the direct path construction on every prefix."""
-    seq = elimination_sequence(g)
-    for m in range(1, g.n + 1):
-        direct = g_star_paths(g, list(range(1, m + 1)))
-        if set(direct.edges) != set(seq[m - 1].edges):
-            return False
-    return True

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import as_mask, iter_bits, verts_of
-from .atoms import Atom, AtomSet, AtomType, FCMI, image_of_fcmi, image_of_partial, type_of_atom
+from .atoms import Atom, AtomSet, AtomType, FCMI, image_of_fcmi, image_of_graph, image_of_partial, type_of_atom
 from .graphs import Graph, maximal_cliques
 
 MAX_ENUM_VARS = 16  # full-lattice transforms are O(n 2^n) space/time
@@ -58,6 +58,31 @@ def _log_base(base) -> float:
     if not 1.0 < base < math.inf:  # NaN fails both comparisons
         raise ValueError(f"log base must be a finite number above 1, got {base}")
     return math.log(base)
+
+
+def _check_tol(tol) -> float:
+    """A tolerance, which must be a finite number >= 0."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
+    return tol
+
+
+def _json_var_count(value) -> int:
+    """A variable count read from JSON, checked before anything is allocated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"variable count must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_ENUM_VARS:
+        raise ValueError(f"variable count {value} outside 1..{MAX_ENUM_VARS}")
+    return value
+
+
+def _check_finite(table: np.ndarray, what: str, name) -> None:
+    """Reject a table holding NaN or an infinity; `name(i)` labels entry i."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"non-finite {what} {table[i]} at {name(i)}")
 
 
 def _config_array(configs, n: int) -> np.ndarray:
@@ -309,6 +334,7 @@ class EntropyVector:
         self.base = float(base)
         self.table = table.astype(float)
         self.table[0] = 0.0
+        _check_finite(self.table, "entropy", lambda m: f"subset {','.join(map(str, verts_of(m)))}")
 
     def h(self, subset) -> float:
         m = as_mask(subset, self.n)
@@ -341,7 +367,7 @@ class EntropyVector:
         for key in ("n", "base", "h"):
             if key not in d:
                 raise ValueError(f"entropy JSON missing field {key!r}")
-        n = int(d["n"])
+        n = _json_var_count(d["n"])
         table = np.zeros(1 << n)
         seen = 0
         for key, val in d["h"].items():
@@ -368,6 +394,7 @@ class IMeasureVector:
         self.base = float(base)
         self.table = table.astype(float)
         self.table[(1 << n) - 1] = 0.0  # the all-complemented atom is empty
+        _check_finite(self.table, "measure", lambda c: f"atom {Atom(n, c).to_text()}")
 
     def value(self, a: Atom) -> float:
         if a.n != self.n:
@@ -392,7 +419,7 @@ class IMeasureVector:
         for key in ("n", "base", "values"):
             if key not in d:
                 raise ValueError(f"measure JSON missing field {key!r}")
-        n = int(d["n"])
+        n = _json_var_count(d["n"])
         table = np.zeros(1 << n)
         for text, val in d["values"].items():
             a = Atom.from_text(text, n)
@@ -403,25 +430,18 @@ class IMeasureVector:
 # -- lattice transforms ------------------------------------------------------
 
 
-def _signed_superset_transform(values: np.ndarray, n: int) -> np.ndarray:
-    """out[U] = sum over supersets T of U of (-1)^|T-U| values[T]."""
+def _superset_sums(values: np.ndarray, n: int, sign: float = 1.0) -> np.ndarray:
+    """out[U] = sum over supersets T of U of sign^|T-U| values[T].
+
+    Adding `sign * x` rounds exactly as subtracting x when sign is -1, signed
+    zeros included, so the signed form matches a plain subtraction bit for bit.
+    """
     out = values.copy()
     idx = np.arange(1 << n)
     for b in range(n):
         bit = 1 << b
         lo = idx[(idx & bit) == 0]
-        out[lo] -= out[lo | bit]
-    return out
-
-
-def _superset_sums(values: np.ndarray, n: int) -> np.ndarray:
-    """out[U] = sum over supersets T of U of values[T]."""
-    out = values.copy()
-    idx = np.arange(1 << n)
-    for b in range(n):
-        bit = 1 << b
-        lo = idx[(idx & bit) == 0]
-        out[lo] += out[lo | bit]
+        out[lo] += sign * out[lo | bit]
     return out
 
 
@@ -435,7 +455,7 @@ def entropy_vector(p: Distribution, base: float = 2.0) -> EntropyVector:
 
 def mu_from_entropy(h: EntropyVector) -> IMeasureVector:
     """The unique signed atom measure consistent with an entropy vector."""
-    table = -_signed_superset_transform(h.table, h.n)
+    table = -_superset_sums(h.table, h.n, sign=-1.0)
     return IMeasureVector(h.n, h.base, table)
 
 
@@ -511,6 +531,7 @@ def fcmi_holds(k: FCMI, mu: IMeasureVector, tol: float = DEFAULT_TOL) -> bool:
     Full statements require every image atom to vanish; partial statements
     require each expanded part to sum to zero within tolerance.
     """
+    tol = _check_tol(tol)
     if k.n != mu.n:
         raise ValueError("statement and measure disagree on the variable count")
     if k.is_full:
@@ -530,19 +551,23 @@ class MrfCheck:
 
 def check_mrf(mu: IMeasureVector, g: Graph, tol: float = DEFAULT_TOL) -> MrfCheck:
     """Whether the measure vanishes on every atom whose complemented set cuts g."""
+    tol = _check_tol(tol)
     if mu.n != g.n:
         raise ValueError("measure and graph disagree on the variable count")
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("field checks need a graph on the full universe; relabel first")
-    bad = []
-    for c in range((1 << g.n) - 1):
-        if g.component_count(c) > 1 and abs(mu.table[c]) > tol:
-            bad.append((Atom(g.n, c), float(mu.table[c])))
+    cut = image_of_graph(g).bits
+    bad = [
+        (Atom(g.n, c), float(mu.table[c]))
+        for c in np.flatnonzero(np.abs(mu.table) > tol).tolist()
+        if (cut >> c) & 1
+    ]
     return MrfCheck(not bad, tuple(bad))
 
 
 def vanishing_atoms(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> AtomSet:
     """Atoms where the measure is zero within tolerance."""
+    tol = _check_tol(tol)
     bits = 0
     for c in range((1 << mu.n) - 1):
         if abs(mu.table[c]) <= tol:
@@ -558,6 +583,7 @@ class NonnegativityReport:
 
 def nonnegativity_report(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> NonnegativityReport:
     """List the atoms where the measure dips below -tol."""
+    tol = _check_tol(tol)
     neg = [
         (Atom(mu.n, c), float(mu.table[c]))
         for c in range((1 << mu.n) - 1)
@@ -609,6 +635,7 @@ def reduce_atom(g: Graph, a: Atom) -> Reduction:
 
 def verify_reduction(g: Graph, a: Atom, mu: IMeasureVector, tol: float = 1e-6) -> bool:
     """Check the reduction identity for one atom under a concrete measure."""
+    tol = _check_tol(tol)
     red = reduce_atom(g, a)
     lhs = mu.value(a)
     rhs = measure_of_expression(mu, red.kept_mask, a.complemented)

@@ -3,44 +3,22 @@
 Drop some variables of a field represented by a graph and the remainder is
 always represented by one specific graph on the kept vertices, and by nothing
 smaller: connect two kept vertices whenever the original graph joins them by
-a path whose interior runs entirely through dropped vertices.  Three
-equivalent constructions are provided (direct path search, a closed form that
-cliques the neighborhoods of the dropped components, and one-vertex-at-a-time
-elimination), plus the tree criterion, the minimality witnesses, and the
-smallest-graph pipeline.
+a path whose interior runs entirely through dropped vertices.  The library
+builds it in closed form, cliquing the neighborhood of every dropped
+component; the test suite checks that against direct path search and
+one-vertex-at-a-time elimination.  Also here: the tree criterion, the
+minimality witnesses, and the smallest-graph pipeline.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ._bits import as_mask, iter_bits, verts_of
-from .atoms import AtomSet, image_of_graph
+from .atoms import AtomSet, image_of_graph, recover_graph
 from .graphs import Graph, clique_edges
 from .measures import Distribution
 from .witnesses import atom_concentrator
-
-
-def _interior_reach(g: Graph, start: int, interior: int) -> int:
-    """Vertices adjacent to `start` or to the interior component(s) it touches."""
-    seeds = g.adjacency(start) & interior
-    comp = seeds
-    # close under adjacency inside the interior
-    while True:
-        nxt = comp
-        m = comp
-        while m:
-            b = m & -m
-            nxt |= g.adjacency(b.bit_length()) & interior
-            m ^= b
-        if nxt == comp:
-            break
-        comp = nxt
-    reach = g.adjacency(start)
-    for b in iter_bits(comp):
-        reach |= g.adjacency(b.bit_length())
-    return reach
 
 
 def _keep_mask(g: Graph, keep) -> int:
@@ -50,24 +28,6 @@ def _keep_mask(g: Graph, keep) -> int:
     if kmask == 0:
         raise ValueError("kept set must be nonempty")
     return kmask
-
-
-def g_star_paths(g: Graph, keep) -> Graph:
-    """Boundary graph by direct path search.
-
-    Kept vertices u, v are joined iff some path of g connects them with every
-    intermediate vertex outside the kept set (a direct edge qualifies).
-    """
-    kmask = _keep_mask(g, keep)
-    interior = g.vmask & ~kmask
-    edges = set()
-    for b in iter_bits(kmask):
-        u = b.bit_length()
-        targets = _interior_reach(g, u, interior) & kmask & ~b
-        for t in iter_bits(targets):
-            v = t.bit_length()
-            edges.add((u, v) if u < v else (v, u))
-    return Graph(g.n, edges, vertices=kmask)
 
 
 def g_star_closed_form(g: Graph, keep) -> Graph:
@@ -83,33 +43,6 @@ def g_star_closed_form(g: Graph, keep) -> Graph:
     for comp in g.component_masks(kmask):  # components of g minus the kept set
         edges |= clique_edges(g.neighbor_mask(comp))
     return Graph(g.n, edges, vertices=kmask)
-
-
-def _eliminate_vertex(g: Graph, x: int) -> Graph:
-    """One elimination step: drop x, then clique its neighborhood."""
-    edges = set((u, v) for u, v in g.edges if u != x and v != x)
-    edges |= clique_edges(g.neighbor_mask(1 << (x - 1)))
-    return Graph(g.n, edges, vertices=g.vmask & ~(1 << (x - 1)))
-
-
-def g_star_elimination(g: Graph, keep, order=None) -> Graph:
-    """Boundary graph by eliminating the dropped vertices one at a time.
-
-    Any elimination order yields the same graph; the default is descending
-    label order.
-    """
-    kmask = _keep_mask(g, keep)
-    drop = verts_of(g.vmask & ~kmask)
-    if order is None:
-        order = sorted(drop, reverse=True)
-    else:
-        order = list(order)
-        if sorted(order) != list(drop):
-            raise ValueError("order must be a permutation of the dropped vertices")
-    cur = g
-    for x in order:
-        cur = _eliminate_vertex(cur, x)
-    return cur
 
 
 def boundary_set(g: Graph, keep) -> frozenset[int]:
@@ -140,18 +73,11 @@ def subfield_graph(g: Graph, keep) -> SubfieldResult:
 def equals_induced(g: Graph, keep) -> bool:
     """Whether the boundary graph adds nothing over the induced subgraph.
 
-    Criterion: no two distinct boundary vertices that are non-adjacent in the
-    induced subgraph are connected by a path interior to the dropped set.
-    Equivalently, every dropped component's neighborhood is already a clique.
+    That holds iff every dropped component's neighborhood, which the closed
+    form cliques, is already a clique.
     """
     kmask = _keep_mask(g, keep)
-    rho = boundary_set(g, kmask)
-    for comp in g.component_masks(kmask):
-        nb = [v for v in verts_of(g.neighbor_mask(comp)) if v in rho]
-        for u, v in itertools.combinations(nb, 2):
-            if not g.has_edge(u, v):
-                return False
-    return True
+    return all(clique_edges(g.neighbor_mask(c)) <= g.edges for c in g.component_masks(kmask))
 
 
 def cutset_lift(g: Graph, keep, t) -> bool:
@@ -160,7 +86,7 @@ def cutset_lift(g: Graph, keep, t) -> bool:
     tmask = as_mask(t, g.n)
     if tmask & ~kmask:
         raise ValueError("t must lie inside the kept set")
-    gs = g_star_paths(g, kmask)
+    gs = g_star_closed_form(g, kmask)
     return (not gs.is_cutset(tmask)) or g.is_cutset(tmask)
 
 
@@ -184,7 +110,8 @@ def subtree_condition(g: Graph, keep) -> SubtreeCheck:
     interior = g.vmask & ~kmask
     for b in iter_bits(interior):
         u = b.bit_length()
-        targets = _interior_reach(g, u, interior & ~b) & kmask
+        # kept vertices next to u or to the dropped vertices u reaches through dropped ones
+        targets = g.neighbor_mask(g._spread(g.adjacency(u), interior & ~b) | b)
         if targets.bit_count() >= 3:
             return SubtreeCheck(False, u, verts_of(targets)[:3])
     return SubtreeCheck(True, None, ())
@@ -212,14 +139,7 @@ def smallest_graph(vanishing: AtomSet) -> SmallestRepResult:
     image stays inside the vanishing set; otherwise the leftover atoms witness
     that no smallest representation exists.
     """
-    n = vanishing.n
-    full = (1 << n) - 1
-    edges = []
-    for u, v in itertools.combinations(range(1, n + 1), 2):
-        pair = (1 << (u - 1)) | (1 << (v - 1))
-        if not vanishing.has_cmask(full & ~pair):
-            edges.append((u, v))
-    g_hat = Graph(n, edges)
+    g_hat = recover_graph(vanishing)
     img = image_of_graph(g_hat)
     missing = img - vanishing
     return SmallestRepResult(g_hat, len(missing) == 0, missing)
@@ -259,7 +179,7 @@ def minimality_witness(g: Graph, keep, edge: tuple[int, int]) -> Distribution:
     """
     kmask = _keep_mask(g, keep)
     u, v = edge
-    gs = g_star_paths(g, kmask)
+    gs = g_star_closed_form(g, kmask)
     if not gs.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the boundary graph")
     path = _interior_path(g, u, v, g.vmask & ~kmask)

@@ -3,6 +3,10 @@
 Everything here deliberately avoids the bitmask machinery under test:
 components come from a dict-of-sets BFS, entropies from raw definition sums,
 and the atom measure from solving the defining linear system with numpy.
+The alternative constructions the library proves equal to its own (boundary
+graphs by path search and by elimination, independency images part by part)
+live here too, built on plain sets; they only wrap results in the library's
+`Graph` and `AtomSet` so that tests can compare them directly.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import random
 from collections import deque
 
 import numpy as np
+
+from imeasure import AtomSet, Graph, elimination_sequence
 
 
 # -- graphs ------------------------------------------------------------------
@@ -64,6 +70,75 @@ def random_edges(rng: random.Random, n: int, p: float = 0.45):
     return tuple(
         (u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if rng.random() < p
     )
+
+
+def _adjacency(g: Graph) -> dict[int, set[int]]:
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _kept(g: Graph, keep) -> set[int]:
+    kept = set(keep)
+    if not kept or not kept <= set(g.vertices):
+        raise ValueError("kept set must be a nonempty subset of the graph's vertices")
+    return kept
+
+
+def g_star_paths(g: Graph, keep) -> Graph:
+    """Boundary graph by direct path search.
+
+    Kept vertices u, v are joined iff some path of g connects them with every
+    intermediate vertex outside the kept set (a direct edge qualifies).
+    """
+    kept = _kept(g, keep)
+    adj = _adjacency(g)
+    edges = set()
+    for u in kept:
+        seen = {u}
+        dq = deque([u])
+        while dq:
+            for x in adj[dq.popleft()] - seen:
+                seen.add(x)
+                if x in kept:
+                    edges.add((min(u, x), max(u, x)))
+                else:
+                    dq.append(x)
+    return Graph(g.n, edges, vertices=kept)
+
+
+def g_star_elimination(g: Graph, keep, order=None) -> Graph:
+    """Boundary graph by eliminating the dropped vertices one at a time.
+
+    Each step removes a vertex and joins all of its neighbors.  Any order
+    yields the same graph; the default is descending label order.
+    """
+    kept = _kept(g, keep)
+    drop = sorted(set(g.vertices) - kept)
+    order = drop[::-1] if order is None else list(order)
+    if sorted(order) != drop:
+        raise ValueError("order must be a permutation of the dropped vertices")
+    adj = _adjacency(g)
+    for x in order:
+        nb = adj.pop(x)
+        for v in nb:
+            adj[v] |= nb - {v}
+            adj[v].discard(x)
+    edges = {(u, v) for u in adj for v in adj[u] if u < v}
+    return Graph(g.n, edges, vertices=kept)
+
+
+def cross_check_sequence(g: Graph) -> bool:
+    """The library's elimination sequence agrees with direct path search on
+    every label prefix."""
+    seq = elimination_sequence(g)
+    for m in range(1, g.n + 1):
+        direct = g_star_paths(g, range(1, m + 1))
+        if set(direct.edges) != set(seq[m - 1].edges):
+            return False
+    return True
 
 
 def random_tree_edges(rng: random.Random, n: int):
@@ -170,6 +245,34 @@ def iter_full_independencies(n):
             for part in partitions(rest):
                 if len(part) >= 2:
                     yield t, part
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+def image_of_fcmi_by_parts(k) -> AtomSet:
+    """Image of a full independency, generated part by part from the defining form.
+
+    Every choice of one subset per group, at least two of them nonempty, gives
+    the atom whose plain variables are exactly their union.  Exponential in
+    each group size.
+    """
+    if not k.is_full:
+        raise ValueError("image_of_fcmi_by_parts needs a full statement")
+    cmasks = set()
+    for choice in itertools.product(*(list(_subsets(sorted(q))) for q in k.group_sets)):
+        if sum(1 for w in choice if w) < 2:
+            continue
+        plain = set().union(*choice)
+        cmasks.add(sum(1 << (v - 1) for v in range(1, k.n + 1) if v not in plain))
+    return AtomSet.from_masks(k.n, cmasks)
+
+
+def relabel_atoms(atoms: AtomSet, mapping: dict[int, int]) -> AtomSet:
+    """Apply a variable relabeling to every atom of a set."""
+    cmasks = [sum(1 << (mapping[v] - 1) for v in a.complemented_set) for a in atoms]
+    return AtomSet.from_masks(atoms.n, cmasks)
 
 
 def random_full_independency(rng: random.Random, n: int):

@@ -28,8 +28,6 @@ from imeasure import (
     entropy_from_mu,
     entropy_vector,
     g_star_closed_form,
-    g_star_elimination,
-    g_star_paths,
     generate_mrf,
     image_of_fcmi,
     image_of_graph,
@@ -50,11 +48,12 @@ from imeasure import (
     type_of_atom,
     vanishing_atoms,
 )
-from imeasure.diagram import relabel_atoms
 from imeasure.witnesses import FieldSpec
 
 from conftest import load_graph
 from oracles import (
+    g_star_elimination,
+    g_star_paths,
     is_tree,
     iter_connected_graphs,
     iter_full_independencies,
@@ -63,6 +62,7 @@ from oracles import (
     random_edges,
     random_full_independency,
     random_tree_edges,
+    relabel_atoms,
 )
 
 from imeasure import Distribution

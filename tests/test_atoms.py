@@ -13,7 +13,6 @@ from imeasure import (
     all_atoms,
     image_of_collection,
     image_of_fcmi,
-    image_of_fcmi_by_parts,
     image_of_graph,
     image_of_partial,
     implies,
@@ -22,7 +21,7 @@ from imeasure import (
     type_of_atom,
 )
 
-from oracles import iter_full_independencies, random_full_independency, random_edges
+from oracles import image_of_fcmi_by_parts, iter_full_independencies, random_full_independency, random_edges
 
 
 def atom(n, comp):

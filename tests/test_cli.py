@@ -289,3 +289,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["atoms"] == [[1, 3], [2, 4]]
+
+
+def test_bad_tolerance_exits_two(capsys):
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run_cli(capsys, "check-mrf", "--dist", str(fixture_path("star4_dist.json")),
+                                 "--graph", P4, "--tol", tol)
+        assert_input_error(code, out, err, "tolerance must be a finite number >= 0")
+        code, out, err = run_cli(capsys, "smallest", "--dist", XOR3, "--tol", tol)
+        assert_input_error(code, out, err, "tolerance must be a finite number >= 0")
+
+
+def test_oversized_entropy_json_exits_two(capsys, tmp_path):
+    for n in (40, 17, True, 2.5):
+        hpath = write_json(tmp_path, "h.json", {"n": n, "base": 2.0, "h": {"1": 1.0}})
+        code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
+        assert_input_error(code, out, err, "variable count")
+
+
+def test_non_finite_entropy_json_exits_two(capsys, tmp_path):
+    hpath = tmp_path / "h.json"
+    for bad in ("NaN", "Infinity", '"NaN"', "-Infinity"):
+        hpath.write_text('{"n": 2, "base": 2.0, "h": {"1": 1.0, "2": 1.0, "1,2": %s}}' % bad)
+        code, out, err = run_cli(capsys, "mu", "--entropy", str(hpath))
+        assert_input_error(code, out, err, "non-finite entropy")
+        code, out, err = run_cli(capsys, "check-mrf", "--entropy", str(hpath), "--graph", C4)
+        assert_input_error(code, out, err, "non-finite entropy")

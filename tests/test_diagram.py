@@ -20,9 +20,7 @@ from imeasure import (
     parse_plan,
     type_of_atom,
 )
-from imeasure.diagram import cross_check_sequence, relabel_atoms
-
-from oracles import iter_connected_graphs, random_edges
+from oracles import cross_check_sequence, iter_connected_graphs, random_edges, relabel_atoms
 
 
 def atom(n, comp):

@@ -577,3 +577,46 @@ def test_hypothesis_measure_round_trip(n, seed):
     p = Distribution(n, (2,) * n, random_distribution(rng, n))
     h = entropy_vector(p, 2.0)
     assert entropy_from_mu(mu_from_entropy(h)).allclose(h, 1e-9)
+
+
+# -- input boundary ------------------------------------------------------------------------
+
+BAD_TOLS = (math.nan, math.inf, -math.inf, -1.0, -1e-12)
+
+
+def test_tolerance_must_be_finite_and_nonnegative(star4, star_mu):
+    checks = (
+        lambda tol: check_mrf(star_mu, star4, tol),
+        lambda tol: vanishing_atoms(star_mu, tol),
+        lambda tol: fcmi_holds(FCMI.of(4, [4], [[1], [2], [3]]), star_mu, tol),
+        lambda tol: nonnegativity_report(star_mu, tol),
+        lambda tol: verify_reduction(star4, Atom.of(4, []), star_mu, tol),
+    )
+    for check in checks:
+        check(0.0)
+        check(1e-9)
+        for tol in BAD_TOLS:
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                check(tol)
+
+
+def test_measure_json_variable_count_is_checked_before_allocation():
+    from imeasure import IMeasureVector
+
+    for n in (40, 0, -1, 17, True, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="variable count"):
+            EntropyVector.from_json({"n": n, "base": 2.0, "h": {"1": 1.0, "2": 1.0, "1,2": 2.0}})
+        with pytest.raises(ValueError, match="variable count"):
+            IMeasureVector.from_json({"n": n, "base": 2.0, "values": {"1 2": 1.0}})
+
+
+def test_measure_json_rejects_non_finite_values():
+    from imeasure import IMeasureVector
+
+    for bad in (math.nan, math.inf, -math.inf, "NaN", "inf"):
+        with pytest.raises(ValueError, match="non-finite entropy .* at subset 1,2"):
+            EntropyVector.from_json({"n": 2, "base": 2.0, "h": {"1": 1.0, "2": 1.0, "1,2": bad}})
+        with pytest.raises(ValueError, match="non-finite measure .* at atom 1 2'"):
+            IMeasureVector.from_json({"n": 2, "base": 2.0, "values": {"1 2": 1.0, "1 2'": bad}})
+    with pytest.raises(ValueError, match="non-finite entropy"):
+        EntropyVector(2, 2.0, np.array([0.0, 1.0, math.nan, 2.0]))

@@ -14,8 +14,6 @@ from imeasure import (
     entropy_vector,
     equals_induced,
     g_star_closed_form,
-    g_star_elimination,
-    g_star_paths,
     generate_mrf,
     measure_from_distribution,
     measure_of_expression,
@@ -28,7 +26,7 @@ from imeasure import (
     subtree_condition,
 )
 
-from oracles import is_tree, random_edges, random_tree_edges
+from oracles import g_star_elimination, g_star_paths, is_tree, random_edges, random_tree_edges
 
 
 KEEP9 = [1, 2, 5, 6, 8, 9]
