@@ -29,7 +29,8 @@ one of two paths:
   are refined together in batches of at most SPARSE_BATCH_CELLS labels.
   Cost: about 2^k s log s.
 
-Tolerances: "vanishes" always means abs(value) <= tol, never a signed test.
+Tolerances: "vanishes" always means abs(value) <= tol, never a signed test,
+and every tol must be a finite number >= 0.
 """
 
 from __future__ import annotations

@@ -80,20 +80,13 @@ def _adjacency(g: Graph) -> dict[int, set[int]]:
     return adj
 
 
-def _kept(g: Graph, keep) -> set[int]:
-    kept = set(keep)
-    if not kept or not kept <= set(g.vertices):
-        raise ValueError("kept set must be a nonempty subset of the graph's vertices")
-    return kept
-
-
 def g_star_paths(g: Graph, keep) -> Graph:
     """Boundary graph by direct path search.
 
     Kept vertices u, v are joined iff some path of g connects them with every
     intermediate vertex outside the kept set (a direct edge qualifies).
     """
-    kept = _kept(g, keep)
+    kept = set(keep)
     adj = _adjacency(g)
     edges = set()
     for u in kept:
@@ -115,7 +108,7 @@ def g_star_elimination(g: Graph, keep, order=None) -> Graph:
     Each step removes a vertex and joins all of its neighbors.  Any order
     yields the same graph; the default is descending label order.
     """
-    kept = _kept(g, keep)
+    kept = set(keep)
     drop = sorted(set(g.vertices) - kept)
     order = drop[::-1] if order is None else list(order)
     if sorted(order) != drop:

@@ -18,7 +18,10 @@ Record only on a tree whose outputs are known good, from the repo root:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -167,9 +170,6 @@ def _cli_fixture_cases() -> list[tuple[str, list[str]]]:
 
 
 def _run(argv) -> tuple[int, str]:
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -181,8 +181,6 @@ def _write_input(name: str, obj) -> None:
 
 
 def record() -> None:
-    import os
-
     os.chdir(ROOT)
     (GOLDEN / "inputs").mkdir(parents=True, exist_ok=True)
     (GOLDEN / "expected").mkdir(parents=True, exist_ok=True)
