@@ -1,4 +1,4 @@
-"""Bitmask helpers for vertex sets.
+"""Bitmask helpers for vertex sets, and the checks on counts and vertices read from JSON.
 
 Vertices are 1-based; vertex i occupies bit i-1.  All set-valued quantities
 in the hot paths are plain ints so that subset tests, unions and complements
@@ -60,3 +60,28 @@ def as_mask(vertices, n: int | None = None) -> int:
     if n is not None and m & ~((1 << n) - 1):
         raise ValueError(f"vertex set 0b{m:b} exceeds universe 1..{n}")
     return m
+
+
+def json_var_count(value, cap: int) -> int:
+    """A variable count read from JSON: an int (not a bool or a float) in
+    1..cap, checked before anything is allocated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"variable count must be an integer, got {value!r}")
+    if not 1 <= value <= cap:
+        raise ValueError(f"variable count {value} outside 1..{cap}")
+    return value
+
+
+def json_vertex_mask(values, n: int, field: str) -> int:
+    """Mask of a JSON vertex list, each an int (not a bool or a float) in 1..n,
+    checked before any shift; `field` names the list in messages."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list of vertices, got {values!r}")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{field} holds {v!r}, not an integer vertex")
+        if v < 1:
+            raise ValueError(f"vertex {v} is not 1-based")
+        if v > n:
+            raise ValueError(f"vertex {v} exceeds universe 1..{n}")
+    return mask_of(values)

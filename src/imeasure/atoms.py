@@ -6,19 +6,24 @@ atom with everything complemented is empty and excluded, so there are 2^n - 1
 atoms.  Independency statements and graphs both project to sets of atoms
 ("images"); this module computes those images and recovers the originating
 statement or graph from them.
+Atom sets convert to numpy flag vectors and back (`AtomSet.flags`), and
+serialisers label atoms from small cached pieces (`atom_texts`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from ._bits import as_mask, iter_bits, submasks, verts_of
-from .graphs import Graph
+import numpy as np
 
-MAX_ATOM_VARS = 16  # full atom enumeration is O(2^n); cap it
+from ._bits import as_mask, iter_bits, json_var_count, json_vertex_mask, submasks, verts_of
+from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
+
+PIECE_VARS = 8  # variables per label piece
 
 BAR = chr(0x0304)  # combining macron, rendered over the preceding digit
 
@@ -73,10 +78,7 @@ class Atom:
         return self.n - self.complemented.bit_count()
 
     def __str__(self):
-        return " ".join(
-            f"{i}{BAR}" if (self.complemented >> (i - 1)) & 1 else str(i)
-            for i in range(1, self.n + 1)
-        )
+        return self.to_text().replace("'", BAR)
 
     def to_text(self) -> str:
         """ASCII rendering: complemented variables carry a trailing apostrophe."""
@@ -112,7 +114,38 @@ class Atom:
         for key in ("n", "complemented"):
             if key not in d:
                 raise ValueError(f"atom JSON missing field {key!r}")
-        return cls.of(int(d["n"]), d["complemented"])
+        n = json_var_count(d["n"], MAX_VERTICES)
+        return cls(n, json_vertex_mask(d["complemented"], n, "atom JSON field 'complemented'"))
+
+
+@functools.lru_cache(maxsize=None)  # keyed by (1, h) and (h + 1, n): a few dozen entries at most
+def _label_piece(lo: int, hi: int) -> tuple[list, list]:
+    """Texts and complemented lists of every mask c over the variables lo..hi
+    (bit i of c complements lo + i).  Texts of a piece not starting at 1 open
+    with a space, so that concatenated pieces give an atom's text."""
+    vs = range(lo, hi + 1)
+    lead = " " if lo > 1 and vs else ""
+    flags = [[(c >> (v - lo)) & 1 for v in vs] for c in range(1 << len(vs))]
+    texts = [lead + " ".join(f"{v}'" if f else str(v) for v, f in zip(vs, fs)) for fs in flags]
+    return texts, [[v for v, f in zip(vs, fs) if f] for fs in flags]
+
+
+def _labels(n: int, cmasks, kind: int) -> list:
+    """Piece `kind` of mask c's label is low[c & (2^h - 1)] + high[c >> h]."""
+    _check_enum_cap(n)
+    h = min(n, PIECE_VARS)
+    low, high, m = _label_piece(1, h)[kind], _label_piece(h + 1, n)[kind], (1 << h) - 1
+    return [low[c & m] + high[c >> h] for c in cmasks]  # each sum is a new str or list
+
+
+def atom_texts(n: int, cmasks) -> list[str]:
+    """`Atom(n, c).to_text()` for every complemented mask c of `cmasks`."""
+    return _labels(n, cmasks, 0)
+
+
+def atom_complements(n: int, cmasks) -> list[list[int]]:
+    """The sorted complemented variables of every mask c of `cmasks`."""
+    return _labels(n, cmasks, 1)
 
 
 def all_atoms(n: int) -> Iterator[Atom]:
@@ -188,7 +221,11 @@ class FCMI:
         for key in ("n", "T", "Q"):
             if key not in d:
                 raise ValueError(f"independency JSON missing field {key!r}")
-        return cls.of(int(d["n"]), d["T"], d["Q"])
+        n = json_var_count(d["n"], MAX_ATOM_VARS)
+        if not isinstance(d["Q"], list):
+            raise ValueError("independency JSON field 'Q' must be a list of vertex lists")
+        given = json_vertex_mask(d["T"], n, "independency JSON field 'T'")
+        return cls(n, given, tuple(json_vertex_mask(q, n, "independency JSON field 'Q'") for q in d["Q"]))
 
 
 class AtomSet:
@@ -217,14 +254,22 @@ class AtomSet:
         return cls(n, bits)
 
     @classmethod
-    def from_masks(cls, n: int, cmasks: Iterable[int]) -> "AtomSet":
-        bits = 0
-        top = (1 << n) - 1
-        for c in cmasks:
-            if not 0 <= c < top:
-                raise ValueError(f"complemented mask {c} out of range")
-            bits |= 1 << c
-        return cls(n, bits)
+    def from_flags(cls, n: int, flags: np.ndarray) -> "AtomSet":
+        """The atoms c with flags[c] true, from a bool vector over the 2^n - 1 complemented masks."""
+        _check_enum_cap(n)
+        if flags.shape != ((1 << n) - 1,):
+            raise ValueError(f"atom flags must have 2^{n} - 1 entries")
+        return cls(n, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
+
+    def flags(self) -> np.ndarray:
+        """Bool vector over the 2^n - 1 complemented masks; inverse of from_flags."""
+        size = (1 << self.n) - 1
+        raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+
+    def cmasks(self) -> list[int]:
+        """Complemented masks of the members, ascending."""
+        return np.flatnonzero(self.flags()).tolist()
 
     def __contains__(self, a: Atom) -> bool:
         return a.n == self.n and (self.bits >> a.complemented) & 1 == 1
@@ -263,18 +308,35 @@ class AtomSet:
         return self.bits & ~self._coerce(other) == 0
 
     def __repr__(self):
-        return f"AtomSet(n={self.n}, atoms=[{', '.join(a.to_text() for a in self)}])"
+        return f"AtomSet(n={self.n}, atoms=[{', '.join(atom_texts(self.n, self.cmasks()))}])"
 
     def to_json(self) -> dict:
-        return {"n": self.n, "atoms": [sorted(a.complemented_set) for a in self]}
+        return {"n": self.n, "atoms": atom_complements(self.n, self.cmasks())}
 
     @classmethod
     def from_json(cls, d: dict) -> "AtomSet":
+        """Read {"n", "atoms"}, each atom a list of its complemented vertices
+        in any order, repeats allowed; an atom may be listed more than once."""
         for key in ("n", "atoms"):
             if key not in d:
                 raise ValueError(f"atom set JSON missing field {key!r}")
-        n = int(d["n"])
-        return cls.of(n, (Atom.of(n, comp) for comp in d["atoms"]))
+        n = json_var_count(d["n"], MAX_ATOM_VARS)
+        rows, field = d["atoms"], "atom set JSON field 'atoms'"
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"{field} must be a list of vertex lists")
+        flat = list(itertools.chain.from_iterable(rows))
+        full = (1 << n) - 1
+        if not set(map(type, flat)) <= {int} or (flat and not 1 <= min(flat) <= max(flat) <= n):
+            for r in rows:  # raises at the first faulty atom, with its own message
+                Atom(n, json_vertex_mask(r, n, field))
+        hit = np.zeros((len(rows), n), dtype=bool)
+        hit[np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.array(flat, dtype=np.intp) - 1] = True
+        masks = hit @ (1 << np.arange(n))
+        if (masks == full).any():
+            Atom(n, full)  # the all-complemented atom is empty: raises
+        flags = np.zeros(full, dtype=bool)
+        flags[masks] = True
+        return cls.from_flags(n, flags)
 
 
 class AtomType(Enum):
@@ -373,7 +435,7 @@ def type_of_atom(g: Graph, a: Atom) -> AtomType:
         raise ValueError(f"atom over {a.n} variables against graph on {g.n}")
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("atom typing needs a graph on the full universe 1..n")
-    return AtomType.TYPE_I if g.component_count(a.complemented) == 1 else AtomType.TYPE_II
+    return AtomType.TYPE_I if g.connected_table()[a.complemented] else AtomType.TYPE_II
 
 
 def image_of_graph(g: Graph) -> AtomSet:
@@ -381,11 +443,7 @@ def image_of_graph(g: Graph) -> AtomSet:
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("image needs a graph on the full universe 1..n")
     _check_enum_cap(g.n)
-    bits = 0
-    for c in range((1 << g.n) - 1):
-        if g.component_count(c) > 1:
-            bits |= 1 << c
-    return AtomSet(g.n, bits)
+    return AtomSet.from_flags(g.n, ~g.connected_table()[:-1])
 
 
 def recover_graph(img: AtomSet) -> Graph:

@@ -1,19 +1,22 @@
 """Command-line front end with JSON input/output.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (the
-payload carries the witness), 2 for input errors.  Payloads go to stdout,
-diagnostics to stderr, and all output is byte-deterministic for fixed inputs.
+payload carries the witness), 2 for input errors, and 141 (the status a
+shell reports for SIGPIPE) when stdout is closed before the payload is
+written, with nothing on stderr.  Payloads go to stdout, diagnostics to
+stderr, and all output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import diagram as diagram_mod
 from . import subfield as subfield_mod
-from .atoms import AtomSet, FCMI, NotAnFcmiImage, image_of_fcmi, image_of_graph, implies as _implies
+from .atoms import AtomSet, FCMI, NotAnFcmiImage, atom_texts, image_of_fcmi, image_of_graph, implies as _implies
 from .atoms import recover_fcmi, recover_graph
 from .graphs import Graph
 from .measures import (
@@ -23,6 +26,7 @@ from .measures import (
     entropy_vector,
     measure_from_distribution,
     mu_from_entropy,
+    _check_tol,
     vanishing_atoms,
 )
 from .witnesses import FieldSpec, atom_concentrator, ring_field_witness, star_xor_witness
@@ -76,8 +80,9 @@ def cmd_entropy(args) -> int:
 def cmd_mu(args) -> int:
     mu, _ = _mu_from_args(args)
     if args.format == "text":
-        lines = [f"{a.to_text()}\t{v:.12g}" for a, v in mu.atoms()]
-        _emit("\n".join(lines))
+        full = (1 << mu.n) - 1
+        texts = atom_texts(mu.n, range(full))
+        _emit("\n".join(f"{t}\t{v:.12g}" for t, v in zip(texts, mu.table[:full].tolist())))
     else:
         _emit(mu.to_json())
     return 0
@@ -87,10 +92,11 @@ def cmd_check_mrf(args) -> int:
     mu, _ = _mu_from_args(args)
     g = Graph.from_json(_load_json(args.graph))
     res = check_mrf(mu, g, args.tol)
+    texts = atom_texts(g.n, [a.complemented for a, _ in res.violations])
     _emit(
         {
             "ok": res.ok,
-            "violations": [{"atom": a.to_text(), "value": v} for a, v in res.violations],
+            "violations": [{"atom": t, "value": v} for t, (_, v) in zip(texts, res.violations)],
         }
     )
     return 0 if res.ok else 1
@@ -151,6 +157,7 @@ def cmd_subfield(args) -> int:
 
 
 def cmd_smallest(args) -> int:
+    _check_tol(args.tol)
     if args.atoms:
         van = AtomSet.from_json(_load_json(args.atoms))
     elif args.dist:
@@ -298,7 +305,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here rather than at exit
+        return code
+    except BrokenPipeError:
+        # as in Python's signal docs: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,6 +7,9 @@ variable's curve splits it, includes it, or excludes it.  Disconnected atoms
 stay suppressed: both of their children remain disconnected, and no connected
 atom ever loses both children, so the walk never gets stuck.
 
+Every stage is typed at once from the connectivity tables of the stage-m-1
+and stage-m boundary graphs (`Graph.connected_table`).
+
 The plan is structural: actions plus atom bookkeeping, no geometry.
 """
 
@@ -16,7 +19,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .atoms import Atom, AtomSet, AtomType, image_of_graph, type_of_atom
+import numpy as np
+
+from .atoms import Atom, AtomSet, atom_texts
 from .graphs import Graph, clique_edges
 
 
@@ -24,6 +29,9 @@ class Action(str, Enum):
     SPLIT = "split"
     INCLUDE = "include"
     EXCLUDE = "exclude"
+
+
+_ACTIONS = (Action.SPLIT, Action.INCLUDE, Action.EXCLUDE)  # codes 0, 1, 2 of _stage_actions
 
 
 def elimination_sequence(g: Graph) -> list[Graph]:
@@ -48,31 +56,37 @@ def elimination_sequence(g: Graph) -> list[Graph]:
     return seq
 
 
-def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
-    """Action of curve m on a connected atom of stage m-1.
+def _stage_actions(seq: list[Graph], m: int) -> np.ndarray:
+    """Action code (an index into _ACTIONS) of curve m for every atom of
+    stage m-1, by complemented mask; -1 marks the disconnected atoms.
 
     With gamma the neighbors of m in the stage-m graph: no gamma vertex plain
     in the atom means exclude; exactly one means split; two or more means the
     plain child is connected and the complemented child's type decides between
     split and include.
     """
+    g_prev, g_cur = seq[m - 2], seq[m - 1]
+    c = np.arange((1 << (m - 1)) - 1)
+    plain_gamma = g_cur.adjacency(m) & ~c
+    at_most_one = (plain_gamma & (plain_gamma - 1)) == 0
+    outside_connected = g_cur.connected_table()[c | 1 << (m - 1)]
+    return np.select(
+        [~g_prev.connected_table()[:-1], plain_gamma == 0, at_most_one | outside_connected],
+        [-1, 2, 0],
+        default=1,
+    )
+
+
+def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
+    """Action of curve m on a connected atom of stage m-1 (see _stage_actions)."""
     if not 2 <= m <= len(seq):
         raise ValueError(f"stage {m} outside 2..{len(seq)}")
     if a.n != m - 1:
         raise ValueError(f"atom over {a.n} variables at stage {m}")
-    g_prev, g_cur = seq[m - 2], seq[m - 1]
-    if type_of_atom(g_prev, a) is AtomType.TYPE_II:
+    code = _stage_actions(seq, m)[a.complemented]
+    if code < 0:
         raise ValueError("disconnected atoms stay suppressed; classify connected atoms only")
-    gamma = g_cur.adjacency(m)
-    plain_gamma = (gamma & ~a.complemented).bit_count()
-    if plain_gamma == 0:
-        return Action.EXCLUDE
-    if plain_gamma == 1:
-        return Action.SPLIT
-    outside_child = Atom(m, a.complemented | 1 << (m - 1))
-    if type_of_atom(g_cur, outside_child) is AtomType.TYPE_I:
-        return Action.SPLIT
-    return Action.INCLUDE
+    return _ACTIONS[code]
 
 
 @dataclass(frozen=True)
@@ -82,30 +96,19 @@ class DiagramPlan:
     steps: tuple[dict[Atom, Action], ...]  # steps[i] handles stage m = i + 2
     final_type1: AtomSet
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagramPlan)
-            and self.n == other.n
-            and self.sequence == other.sequence
-            and self.steps == other.steps
-            and self.final_type1 == other.final_type1
-        )
-
     def to_json(self) -> dict:
+        steps = []
+        for m, step in enumerate(self.steps, start=2):
+            rows = sorted((a.complemented, act.value) for a, act in step.items())
+            texts = atom_texts(m - 1, [c for c, _ in rows])
+            steps.append(
+                {"m": m, "actions": [{"atom": t, "action": v} for t, (_, v) in zip(texts, rows)]}
+            )
         return {
             "n": self.n,
             "sequence": [g.to_json() for g in self.sequence],
-            "steps": [
-                {
-                    "m": i + 2,
-                    "actions": [
-                        {"atom": a.to_text(), "action": act.value}
-                        for a, act in sorted(step.items())
-                    ],
-                }
-                for i, step in enumerate(self.steps)
-            ],
-            "final_type1": [a.to_text() for a in self.final_type1],
+            "steps": steps,
+            "final_type1": atom_texts(self.n, self.final_type1.cmasks()),
         }
 
     @classmethod
@@ -135,15 +138,10 @@ def build_plan(g: Graph) -> DiagramPlan:
     seq = elimination_sequence(g)
     steps = []
     for m in range(2, g.n + 1):
-        g_prev = seq[m - 2]
-        step: dict[Atom, Action] = {}
-        for c in range((1 << (m - 1)) - 1):
-            a = Atom(m - 1, c)
-            if type_of_atom(g_prev, a) is AtomType.TYPE_I:
-                step[a] = classify_atom(seq, m, a)
-        steps.append(step)
-    every_atom = (1 << ((1 << g.n) - 1)) - 1
-    final = AtomSet(g.n, every_atom & ~image_of_graph(g).bits)  # the connected atoms
+        codes = _stage_actions(seq, m)
+        live = np.flatnonzero(codes >= 0).tolist()
+        steps.append({Atom(m - 1, c): _ACTIONS[k] for c, k in zip(live, codes[live].tolist())})
+    final = AtomSet.from_flags(g.n, g.connected_table()[:-1])  # the connected atoms
     return DiagramPlan(g.n, tuple(seq), tuple(steps), final)
 
 

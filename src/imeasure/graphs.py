@@ -1,10 +1,10 @@
 """Undirected graphs on vertices 1..n with bitmask connectivity primitives.
 
-The connectivity queries (components of G minus a vertex set, cutset tests,
-neighbor sets) are the workhorses behind atom classification, so component
-counts are memoized per graph instance.  Graphs are immutable; removing
-vertices keeps the original labels rather than compacting them, which keeps
-atom indices stable when a graph shrinks.
+Every atom query asks whether G minus a vertex set U is connected; a lazily
+built numpy table per graph (`Graph.connected_table`) answers it for all 2^n
+sets U, and single queries walk the adjacency masks.  Graphs are immutable;
+removing vertices keeps the original labels rather than compacting them,
+which keeps atom indices stable when a graph shrinks.
 """
 
 from __future__ import annotations
@@ -14,9 +14,12 @@ import json
 from enum import Enum
 from typing import Iterable
 
-from ._bits import as_mask, iter_bits, mask_of, verts_of
+import numpy as np
+
+from ._bits import as_mask, iter_bits, json_var_count, json_vertex_mask, mask_of, verts_of
 
 MAX_VERTICES = 24
+MAX_ATOM_VARS = 16  # tables over all 2^n vertex sets; atom enumeration shares the cap
 
 
 class ShapeLabel(str, Enum):
@@ -40,7 +43,7 @@ class Graph:
     no multi-edges, no direction.
     """
 
-    __slots__ = ("n", "vmask", "edges", "_adj", "_scache", "_hash")
+    __slots__ = ("n", "vmask", "edges", "_adj", "_ctable", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), vertices=None):
         if not 0 <= n <= MAX_VERTICES:
@@ -63,7 +66,7 @@ class Graph:
         self.vmask = vmask
         self.edges = frozenset(eset)
         self._adj = tuple(adj)
-        self._scache: dict[int, int] = {}
+        self._ctable = None
         self._hash = hash((n, vmask, self.edges))
 
     # -- constructors ------------------------------------------------------
@@ -117,18 +120,18 @@ class Graph:
     # -- connectivity ------------------------------------------------------
 
     def _spread(self, seed: int, allowed: int) -> int:
-        """Close `seed` under adjacency inside `allowed`."""
-        cur = seed & allowed
-        while True:
-            nxt = cur
-            m = cur
-            while m:
-                b = m & -m
-                nxt |= self._adj[b.bit_length()] & allowed
-                m ^= b
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """Close `seed` under adjacency inside `allowed`, expanding each vertex once."""
+        adj = self._adj
+        cur = frontier = seed & allowed
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length()]
+                frontier ^= b
+            frontier = reach & allowed & ~cur
+            cur |= frontier
+        return cur
 
     def component_masks(self, removed=0) -> list[int]:
         """Vertex masks of the components of G minus `removed`, by min label."""
@@ -146,20 +149,35 @@ class Graph:
         return [frozenset(verts_of(c)) for c in self.component_masks(removed)]
 
     def component_count(self, removed=0) -> int:
-        """Number of components of G minus `removed` (memoized per mask)."""
-        rm = as_mask(removed, self.n) & self.vmask
-        got = self._scache.get(rm)
-        if got is None:
-            got = len(self.component_masks(rm))
-            self._scache[rm] = got
-        return got
+        """Number of components of G minus `removed`."""
+        return len(self.component_masks(removed))
 
     def is_cutset(self, removed) -> bool:
         """True iff removing the set disconnects what is left (s(U) > 1)."""
-        return self.component_count(removed) > 1
+        rem = self.vmask & ~as_mask(removed, self.n)
+        return self._spread(rem & -rem, rem) != rem
 
     def is_connected(self) -> bool:
-        return self.component_count(0) <= 1
+        return not self.is_cutset(0)
+
+    def connected_table(self) -> np.ndarray:
+        """Read-only bool table, built once: entry U says whether G minus U has
+        at most one component.  Neighbour unions `nu[m] = nu[m - top] | adj[top]`,
+        then spread rounds from the lowest remaining vertex of every U at once.
+        """
+        if self._ctable is None:
+            if self.n > MAX_ATOM_VARS:
+                raise ValueError(f"connectivity tables support up to {MAX_ATOM_VARS} vertices, got {self.n}")
+            nu = np.zeros(1 << self.n, dtype=np.int32)
+            for v in range(self.n):
+                nu[1 << v : 2 << v] = nu[: 1 << v] | self._adj[v + 1]
+            rem = self.vmask & ~np.arange(1 << self.n, dtype=np.int32)
+            prev, cur = None, rem & -rem
+            while not np.array_equal(prev, cur):
+                prev, cur = cur, (cur | nu[cur]) & rem
+            self._ctable = cur == rem
+            self._ctable.flags.writeable = False
+        return self._ctable
 
     def remove(self, removed) -> "Graph":
         """Drop a vertex set and all incident edges, keeping original labels."""
@@ -210,7 +228,16 @@ class Graph:
             raise ValueError("graph JSON must be an object with field 'n'")
         if "edges" not in d:
             raise ValueError("graph JSON missing field 'edges'")
-        return cls(int(d["n"]), [tuple(e) for e in d["edges"]], vertices=d.get("vertices"))
+        n = json_var_count(d["n"], MAX_VERTICES)
+        edges = d["edges"]
+        if not isinstance(edges, list):
+            raise ValueError("graph JSON field 'edges' must be a list")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+                raise ValueError(f"graph JSON field 'edges' holds {e!r}, not a pair of integer vertices")
+        vs = d.get("vertices")
+        vmask = None if vs is None else json_vertex_mask(vs, n, "graph JSON field 'vertices'")
+        return cls(n, [tuple(e) for e in edges], vertices=vmask)
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f"graph {name} {{"]

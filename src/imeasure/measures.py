@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import as_mask, iter_bits, verts_of
-from .atoms import Atom, AtomSet, AtomType, FCMI, image_of_fcmi, image_of_graph, image_of_partial, type_of_atom
+from ._bits import as_mask, iter_bits, json_var_count, verts_of
+from .atoms import Atom, AtomSet, AtomType, FCMI, atom_texts, image_of_fcmi, image_of_partial, type_of_atom
 from .graphs import Graph, maximal_cliques
 
 MAX_ENUM_VARS = 16  # full-lattice transforms are O(n 2^n) space/time
@@ -67,15 +67,6 @@ def _check_tol(tol) -> float:
     if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
     return tol
-
-
-def _json_var_count(value) -> int:
-    """A variable count read from JSON, checked before anything is allocated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"variable count must be an integer, got {value!r}")
-    if not 1 <= value <= MAX_ENUM_VARS:
-        raise ValueError(f"variable count {value} outside 1..{MAX_ENUM_VARS}")
-    return value
 
 
 def _check_finite(table: np.ndarray, what: str, name) -> None:
@@ -196,7 +187,7 @@ class Distribution:
             ps = [row["p"] for row in d["probs"]]
         except (KeyError, TypeError):
             raise ValueError("distribution JSON probs entries need fields 'x' and 'p'") from None
-        return cls._from_rows(int(d["n"]), d["alphabets"], configs, ps)
+        return cls._from_rows(json_var_count(d["n"], MAX_VARS), d["alphabets"], configs, ps)
 
 
 # -- the lattice entropy engine ----------------------------------------------
@@ -368,7 +359,7 @@ class EntropyVector:
         for key in ("n", "base", "h"):
             if key not in d:
                 raise ValueError(f"entropy JSON missing field {key!r}")
-        n = _json_var_count(d["n"])
+        n = json_var_count(d["n"], MAX_ENUM_VARS)
         table = np.zeros(1 << n)
         seen = 0
         for key, val in d["h"].items():
@@ -412,15 +403,16 @@ class IMeasureVector:
             yield Atom(self.n, c), float(self.table[c])
 
     def to_json(self) -> dict:
-        values = {a.to_text(): v + 0.0 if v != 0 else 0.0 for a, v in self.atoms()}
-        return {"n": self.n, "base": self.base, "values": values}
+        full = (1 << self.n) - 1
+        values = (self.table[:full] + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
+        return {"n": self.n, "base": self.base, "values": dict(zip(atom_texts(self.n, range(full)), values))}
 
     @classmethod
     def from_json(cls, d: dict) -> "IMeasureVector":
         for key in ("n", "base", "values"):
             if key not in d:
                 raise ValueError(f"measure JSON missing field {key!r}")
-        n = _json_var_count(d["n"])
+        n = json_var_count(d["n"], MAX_ENUM_VARS)
         table = np.zeros(1 << n)
         for text, val in d["values"].items():
             a = Atom.from_text(text, n)
@@ -536,12 +528,8 @@ def fcmi_holds(k: FCMI, mu: IMeasureVector, tol: float = DEFAULT_TOL) -> bool:
     if k.n != mu.n:
         raise ValueError("statement and measure disagree on the variable count")
     if k.is_full:
-        return all(abs(mu.table[a.complemented]) <= tol for a in image_of_fcmi(k))
-    for part in image_of_partial(k):
-        total = sum(mu.table[a.complemented] for a in part)
-        if abs(total) > tol:
-            return False
-    return True
+        return bool((np.abs(mu.table[:-1][image_of_fcmi(k).flags()]) <= tol).all())
+    return all(abs(sum(mu.table[c] for c in part.cmasks())) <= tol for part in image_of_partial(k))
 
 
 @dataclass(frozen=True)
@@ -557,23 +545,15 @@ def check_mrf(mu: IMeasureVector, g: Graph, tol: float = DEFAULT_TOL) -> MrfChec
         raise ValueError("measure and graph disagree on the variable count")
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("field checks need a graph on the full universe; relabel first")
-    cut = image_of_graph(g).bits
-    bad = [
-        (Atom(g.n, c), float(mu.table[c]))
-        for c in np.flatnonzero(np.abs(mu.table) > tol).tolist()
-        if (cut >> c) & 1
-    ]
-    return MrfCheck(not bad, tuple(bad))
+    cut = np.flatnonzero((np.abs(mu.table) > tol) & ~g.connected_table()).tolist()
+    bad = tuple((Atom(g.n, c), float(mu.table[c])) for c in cut)
+    return MrfCheck(not bad, bad)
 
 
 def vanishing_atoms(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> AtomSet:
     """Atoms where the measure is zero within tolerance."""
     tol = _check_tol(tol)
-    bits = 0
-    for c in range((1 << mu.n) - 1):
-        if abs(mu.table[c]) <= tol:
-            bits |= 1 << c
-    return AtomSet(mu.n, bits)
+    return AtomSet.from_flags(mu.n, np.abs(mu.table[:-1]) <= tol)
 
 
 @dataclass(frozen=True)
@@ -585,12 +565,8 @@ class NonnegativityReport:
 def nonnegativity_report(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> NonnegativityReport:
     """List the atoms where the measure dips below -tol."""
     tol = _check_tol(tol)
-    neg = [
-        (Atom(mu.n, c), float(mu.table[c]))
-        for c in range((1 << mu.n) - 1)
-        if mu.table[c] < -tol
-    ]
-    return NonnegativityReport(not neg, tuple(neg))
+    neg = tuple((Atom(mu.n, c), float(mu.table[c])) for c in np.flatnonzero(mu.table[:-1] < -tol).tolist())
+    return NonnegativityReport(not neg, neg)
 
 
 # -- atom reduction ------------------------------------------------------------
@@ -626,11 +602,8 @@ def reduce_atom(g: Graph, a: Atom) -> Reduction:
         raise ValueError("reduction applies to Type I atoms only")
     if a.weight < 2:
         raise ValueError("reduction needs at least two plain variables")
-    kept = [
-        k
-        for k in verts_of(a.support_mask)
-        if g.component_count(a.complemented | 1 << (k - 1)) == 1
-    ]
+    connected = g.connected_table()
+    kept = [k for k in verts_of(a.support_mask) if connected[a.complemented | 1 << (k - 1)]]
     return Reduction(a, frozenset(kept))
 
 

@@ -259,13 +259,13 @@ def image_of_fcmi_by_parts(k) -> AtomSet:
             continue
         plain = set().union(*choice)
         cmasks.add(sum(1 << (v - 1) for v in range(1, k.n + 1) if v not in plain))
-    return AtomSet.from_masks(k.n, cmasks)
+    return AtomSet(k.n, sum(1 << c for c in cmasks))
 
 
 def relabel_atoms(atoms: AtomSet, mapping: dict[int, int]) -> AtomSet:
     """Apply a variable relabeling to every atom of a set."""
-    cmasks = [sum(1 << (mapping[v] - 1) for v in a.complemented_set) for a in atoms]
-    return AtomSet.from_masks(atoms.n, cmasks)
+    cmasks = {sum(1 << (mapping[v] - 1) for v in a.complemented_set) for a in atoms}
+    return AtomSet(atoms.n, sum(1 << c for c in cmasks))
 
 
 def random_full_independency(rng: random.Random, n: int):

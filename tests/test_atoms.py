@@ -1,7 +1,11 @@
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imeasure import (
     Atom,
@@ -20,6 +24,7 @@ from imeasure import (
     recover_graph,
     type_of_atom,
 )
+from imeasure.atoms import atom_complements, atom_texts
 
 from oracles import image_of_fcmi_by_parts, iter_full_independencies, random_full_independency, random_edges
 
@@ -272,3 +277,85 @@ def test_implies_monotone_and_strict():
     assert implies([k1, k2], [k1])
     assert implies([k1], [k2])
     assert not implies([k2], [k1])
+
+
+# -- labels, the big-int bridge and atom-set JSON -----------------------------------
+
+
+def test_labels_match_atom_methods():
+    for n in range(1, 11):
+        cs = range((1 << n) - 1)
+        assert atom_texts(n, cs) == [Atom(n, c).to_text() for c in cs]
+        assert atom_complements(n, cs) == [sorted(Atom(n, c).complemented_set) for c in cs]
+    assert atom_texts(16, [0, 1 << 8, (1 << 16) - 2]) == [Atom(16, c).to_text() for c in (0, 1 << 8, (1 << 16) - 2)]
+
+
+def test_flags_bridge_partial_last_byte():
+    for n in (1, 2, 3, 4, 16):
+        size = (1 << n) - 1  # 1, 3, 7, 15 and 65535 flags: the last byte is partial
+        rng = np.random.default_rng(n)
+        flags = rng.random(size) < 0.5
+        s = AtomSet.from_flags(n, flags)
+        assert s.bits == sum(1 << int(c) for c in np.flatnonzero(flags))
+        assert np.array_equal(s.flags(), flags)
+        assert s.cmasks() == np.flatnonzero(flags).tolist()
+        assert AtomSet.from_flags(n, np.ones(size, dtype=bool)).bits == (1 << size) - 1
+    with pytest.raises(ValueError):
+        AtomSet.from_flags(3, np.zeros(8, dtype=bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(list(range(1, 11)) + [16]), seed=st.integers(0, 2**32 - 1), density=st.floats(0, 1))
+def test_atom_set_json_round_trip(n, seed, density):
+    flags = np.random.default_rng(seed).random((1 << n) - 1) < density
+    s = AtomSet.from_flags(n, flags)
+    d = json.loads(json.dumps(s.to_json()))
+    assert d == {"n": n, "atoms": [sorted(a.complemented_set) for a in s]}
+    assert AtomSet.from_json(d) == s
+
+
+def test_atom_set_json_accepts_loose_lists():
+    d = {"n": 4, "atoms": [[3, 1], [2, 2], [1, 3], [], [4, 1, 3, 1]]}  # unsorted, repeated vertex, repeated atom
+    assert AtomSet.from_json(d) == atoms(4, [1, 3], [2], [], [1, 3, 4])
+    assert AtomSet.from_json({"n": 2, "atoms": []}) == AtomSet(2)
+
+
+def test_atom_set_json_rejections():
+    def err(d):
+        with pytest.raises(ValueError) as e:
+            AtomSet.from_json(d)
+        return str(e.value)
+
+    for n in (True, 3.0, 17, 0):
+        assert "variable count" in err({"n": n, "atoms": []})
+    assert "'atoms'" in err({"n": 3, "atoms": [[1.5]]})
+    assert "'atoms'" in err({"n": 3, "atoms": [[True]]})
+    assert "'atoms'" in err({"n": 3, "atoms": [3]})
+    assert "'atoms'" in err({"n": 3, "atoms": "12"})
+    assert err({"n": 3, "atoms": [[1], [0]]}) == "vertex 0 is not 1-based"
+    assert err({"n": 3, "atoms": [[1], [10**30]]}) == "vertex 1000000000000000000000000000000 exceeds universe 1..3"
+    assert err({"n": 3, "atoms": [[1], [3, 2, 1]]}) == "complemented mask 0b111 must be a proper subset of 1..3"
+    # the first faulty atom decides the message
+    assert err({"n": 3, "atoms": [[1, 2, 3], [0]]}) == "complemented mask 0b111 must be a proper subset of 1..3"
+
+
+def test_single_atom_and_independency_json_need_integers():
+    assert Atom.from_json({"n": 20, "complemented": [20, 1]}) == Atom.of(20, [1, 20])
+    for bad in ({"n": True, "complemented": []}, {"n": 2.5, "complemented": []}, {"n": 3, "complemented": [1.0]}):
+        with pytest.raises(ValueError):
+            Atom.from_json(bad)
+    k = FCMI.from_json({"n": 4, "T": [4], "Q": [[2, 1], [3]]})
+    assert k == FCMI.of(4, [4], [[1, 2], [3]])
+    for bad, field in (({"n": 4.0, "T": [], "Q": [[1], [2]]}, "variable count"),
+                       ({"n": 4, "T": [True], "Q": [[1], [2]]}, "'T'"),
+                       ({"n": 4, "T": [], "Q": [[1], [2.5]]}, "'Q'"),
+                       ({"n": 4, "T": [], "Q": 12}, "'Q'")):
+        with pytest.raises(ValueError, match=field):
+            FCMI.from_json(bad)
+
+
+def test_atom_typing_caps_at_sixteen_vertices():
+    g = Graph.path(17)
+    with pytest.raises(ValueError, match="up to 16"):
+        type_of_atom(g, Atom(17, 0))
+    assert type_of_atom(Graph.path(16), Atom.of(16, [8])) is AtomType.TYPE_II

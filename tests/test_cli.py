@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +317,45 @@ def test_non_finite_entropy_json_exits_two(capsys, tmp_path):
         assert_input_error(code, out, err, "non-finite entropy")
         code, out, err = run_cli(capsys, "check-mrf", "--entropy", str(hpath), "--graph", C4)
         assert_input_error(code, out, err, "non-finite entropy")
+
+
+def test_smallest_atoms_path_checks_tolerance(capsys):
+    atoms_path = str(Path(__file__).parent / "golden" / "inputs" / "smallest_none3.json")
+    code, _, _ = run_cli(capsys, "smallest", "--atoms", atoms_path)
+    assert code == 1
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run_cli(capsys, "smallest", "--atoms", atoms_path, "--tol", tol)
+        assert_input_error(code, out, err, "tolerance must be a finite number >= 0")
+
+
+def test_closed_stdout_exits_141_quietly():
+    r, w = os.pipe()
+    os.close(r)  # nobody will read: the first write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "imeasure", "mu", "--dist", XOR3, "--format", "text"],
+            stdout=w, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_json_counts_and_vertices_must_be_integers(capsys, tmp_path):
+    for n in (True, 3.7):
+        gpath = write_json(tmp_path, "g.json", {"n": n, "edges": []})
+        code, out, err = run_cli(capsys, "image", "--graph", gpath)
+        assert_input_error(code, out, err, "variable count must be an integer")
+    gpath = write_json(tmp_path, "g.json", {"n": 3, "edges": [[1.5, 2]]})
+    code, out, err = run_cli(capsys, "image", "--graph", gpath)
+    assert_input_error(code, out, err, "graph JSON field 'edges' holds [1.5, 2]")
+    apath = write_json(tmp_path, "a.json", {"n": 3, "atoms": [[1], [2.0]]})
+    code, out, err = run_cli(capsys, "recover", "--atoms", apath, "--target", "graph")
+    assert_input_error(code, out, err, "atom set JSON field 'atoms' holds 2.0")
+    kpath = write_json(tmp_path, "k.json", [{"n": 3, "T": [], "Q": [[1], [False]]}])
+    code, out, err = run_cli(capsys, "implies", "--pi1", kpath, "--pi2", kpath)
+    assert_input_error(code, out, err, "independency JSON field 'Q' holds False")
+    dpath = write_json(tmp_path, "d.json", {"n": 1.0, "alphabets": [2], "probs": [{"x": [0], "p": 1.0}]})
+    code, out, err = run_cli(capsys, "entropy", "--dist", dpath)
+    assert_input_error(code, out, err, "variable count must be an integer")

@@ -145,3 +145,58 @@ def test_dropped_component_neighborhoods_lie_in_kept_set():
             assert phi <= keep
             for u, v in clique_edges(phi):
                 assert u in phi and v in phi
+
+
+# -- the connectivity table ----------------------------------------------------
+
+
+def table_by_bfs(n, edges, vertices=None):
+    return [len(bfs_components(n, edges, {v for v in range(1, n + 1) if (u >> (v - 1)) & 1}, vertices)) <= 1
+            for u in range(1 << n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=0, max_value=8), bits=st.integers(0, 2**28 - 1), vbits=st.integers(0, 255))
+def test_connected_table_matches_bfs_oracle(n, bits, vbits):
+    keep = {v for v in range(1, n + 1) if not (vbits >> (v - 1)) & 1}  # some vertices removed
+    pairs = [(u, v) for u, v in itertools.combinations(sorted(keep), 2)]
+    edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
+    g = Graph(n, edges, vertices=keep)
+    table = g.connected_table()
+    assert table.dtype == bool and not table.flags.writeable
+    assert table.tolist() == table_by_bfs(n, edges, keep)
+    assert g.connected_table() is table  # built once
+
+
+def test_connected_table_exhaustive_small():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
+            g = Graph(n, edges)
+            want = table_by_bfs(n, edges)
+            assert g.connected_table().tolist() == want
+            assert [g.component_count(u) <= 1 for u in range(1 << n)] == want
+            assert [not g.is_cutset(u) for u in range(1 << n)] == want
+
+
+def test_connected_table_cap():
+    g = Graph.path(17)
+    with pytest.raises(ValueError, match="up to 16"):
+        g.connected_table()
+    assert g.is_connected() and g.is_cutset([5]) and g.component_count([5, 9]) == 3
+
+
+def test_graph_json_rejects_non_integers():
+    for n in (True, 3.7, "3", 0, 25):
+        with pytest.raises(ValueError, match="variable count"):
+            Graph.from_json({"n": n, "edges": []})
+    for e in ([1.5, 2], [True, 2], [1, 2, 3], [1], "12", [1, None]):
+        with pytest.raises(ValueError, match="'edges'"):
+            Graph.from_json({"n": 3, "edges": [e]})
+    for vs in ([1, 2.0], [False, 2], 3):
+        with pytest.raises(ValueError, match="'vertices'"):
+            Graph.from_json({"n": 3, "edges": [], "vertices": vs})
+    with pytest.raises(ValueError, match="exceeds universe"):
+        Graph.from_json({"n": 3, "edges": [], "vertices": [1, 10**30]})
+    assert Graph.from_json({"n": 3, "edges": [[2, 1]], "vertices": [2, 1]}) == Graph(3, [(1, 2)], vertices=[1, 2])

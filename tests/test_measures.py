@@ -91,6 +91,14 @@ def test_distribution_json_rejects_duplicate_rows():
         Distribution.from_json(d)
 
 
+def test_distribution_json_variable_count_must_be_an_integer():
+    row = {"x": [0], "p": 1.0}
+    for n in (True, 1.0, 1.5, "1", 0, 25):
+        with pytest.raises(ValueError, match="variable count"):
+            Distribution.from_json({"n": n, "alphabets": [1], "probs": [row]})
+    assert Distribution.from_json({"n": 1, "alphabets": [1], "probs": [row]}).n == 1
+
+
 def test_log_base_must_be_finite_and_above_one(xor3):
     a = Atom.of(3, [])
     h = entropy_vector(xor3, 2.0)
@@ -620,3 +628,24 @@ def test_measure_json_rejects_non_finite_values():
             IMeasureVector.from_json({"n": 2, "base": 2.0, "values": {"1 2": 1.0, "1 2'": bad}})
     with pytest.raises(ValueError, match="non-finite entropy"):
         EntropyVector(2, 2.0, np.array([0.0, 1.0, math.nan, 2.0]))
+
+
+def test_table_paths_match_per_atom_definitions():
+    # check_mrf, vanishing_atoms and the measure JSON read whole tables; compare
+    # them with the per-atom definitions on random fields and graphs
+    rng = random.Random(77)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        g = Graph(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+        mu = measure_from_distribution(Distribution(n, (2,) * n, random_distribution(rng, n)), 2.0)
+        mu.table[rng.randrange((1 << n) - 1)] = 0.0
+        tol = 1e-9
+        cut = [c for c in range((1 << n) - 1) if g.is_cutset(c)]
+        want = [(Atom(n, c), float(mu.table[c])) for c in cut if abs(mu.table[c]) > tol]
+        res = check_mrf(mu, g, tol)
+        assert res.violations == tuple(want) and res.ok == (not want)
+        van = vanishing_atoms(mu, tol)
+        assert list(van) == [Atom(n, c) for c in range((1 << n) - 1) if abs(mu.table[c]) <= tol]
+        values = mu.to_json()["values"]
+        assert list(values) == [Atom(n, c).to_text() for c in range((1 << n) - 1)]
+        assert list(values.values()) == [float(v) for v in mu.table[:-1]]
