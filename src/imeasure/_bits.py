@@ -62,14 +62,18 @@ def as_mask(vertices, n: int | None = None) -> int:
     return m
 
 
+def check_var_count(n: int, cap: int) -> int:
+    """A variable count in 1..cap, checked before anything is allocated."""
+    if not 1 <= n <= cap:
+        raise ValueError(f"variable count {n} outside 1..{cap}")
+    return n
+
+
 def json_var_count(value, cap: int) -> int:
-    """A variable count read from JSON: an int (not a bool or a float) in
-    1..cap, checked before anything is allocated."""
+    """A variable count read from JSON: an int (not a bool or a float) in 1..cap."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"variable count must be an integer, got {value!r}")
-    if not 1 <= value <= cap:
-        raise ValueError(f"variable count {value} outside 1..{cap}")
-    return value
+    return check_var_count(value, cap)
 
 
 def json_vertex_mask(values, n: int, field: str) -> int:

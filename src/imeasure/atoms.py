@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._bits import as_mask, iter_bits, json_var_count, json_vertex_mask, submasks, verts_of
+from ._bits import as_mask, check_var_count, iter_bits, json_var_count, json_vertex_mask, submasks, verts_of
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
 
 PIECE_VARS = 8  # variables per label piece
@@ -30,11 +30,6 @@ BAR = chr(0x0304)  # combining macron, rendered over the preceding digit
 
 class NotAnFcmiImage(ValueError):
     """Raised when an atom set is not the image of any independency."""
-
-
-def _check_enum_cap(n: int):
-    if not 1 <= n <= MAX_ATOM_VARS:
-        raise ValueError(f"atom enumeration supports 1..{MAX_ATOM_VARS} variables, got {n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -132,7 +127,7 @@ def _label_piece(lo: int, hi: int) -> tuple[list, list]:
 
 def _labels(n: int, cmasks, kind: int) -> list:
     """Piece `kind` of mask c's label is low[c & (2^h - 1)] + high[c >> h]."""
-    _check_enum_cap(n)
+    check_var_count(n, MAX_ATOM_VARS)
     h = min(n, PIECE_VARS)
     low, high, m = _label_piece(1, h)[kind], _label_piece(h + 1, n)[kind], (1 << h) - 1
     return [low[c & m] + high[c >> h] for c in cmasks]  # each sum is a new str or list
@@ -150,7 +145,7 @@ def atom_complements(n: int, cmasks) -> list[list[int]]:
 
 def all_atoms(n: int) -> Iterator[Atom]:
     """All 2^n - 1 atoms, in increasing complemented-mask order."""
-    _check_enum_cap(n)
+    check_var_count(n, MAX_ATOM_VARS)
     for c in range((1 << n) - 1):
         yield Atom(n, c)
 
@@ -238,7 +233,7 @@ class AtomSet:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
-        _check_enum_cap(n)
+        check_var_count(n, MAX_ATOM_VARS)
         if bits >> ((1 << n) - 1):
             raise ValueError("bitset contains indices outside the atom range")
         self.n = n
@@ -256,7 +251,7 @@ class AtomSet:
     @classmethod
     def from_flags(cls, n: int, flags: np.ndarray) -> "AtomSet":
         """The atoms c with flags[c] true, from a bool vector over the 2^n - 1 complemented masks."""
-        _check_enum_cap(n)
+        check_var_count(n, MAX_ATOM_VARS)
         if flags.shape != ((1 << n) - 1,):
             raise ValueError(f"atom flags must have 2^{n} - 1 entries")
         return cls(n, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
@@ -355,7 +350,7 @@ def image_of_fcmi(k: FCMI) -> AtomSet:
     """
     if not k.is_full:
         raise ValueError("image_of_fcmi needs a full statement; use image_of_partial")
-    _check_enum_cap(k.n)
+    check_var_count(k.n, MAX_ATOM_VARS)
     full = (1 << k.n) - 1
     bits = 0
     for w in submasks(full & ~k.given):  # supports avoiding the given set
@@ -372,7 +367,7 @@ def image_of_partial(k: FCMI) -> list[AtomSet]:
     whose support is the chosen support extended by any subset of the missing
     variables.  For a full statement each part is the single prescribed atom.
     """
-    _check_enum_cap(k.n)
+    check_var_count(k.n, MAX_ATOM_VARS)
     full = (1 << k.n) - 1
     outside = full & ~k.scope
     parts = []
@@ -442,7 +437,7 @@ def image_of_graph(g: Graph) -> AtomSet:
     """All atoms whose complemented set is a cutset (the graph's image)."""
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("image needs a graph on the full universe 1..n")
-    _check_enum_cap(g.n)
+    check_var_count(g.n, MAX_ATOM_VARS)
     return AtomSet.from_flags(g.n, ~g.connected_table()[:-1])
 
 

@@ -16,6 +16,7 @@ import sys
 
 from . import diagram as diagram_mod
 from . import subfield as subfield_mod
+from ._bits import json_vertex_mask
 from .atoms import AtomSet, FCMI, NotAnFcmiImage, atom_texts, image_of_fcmi, image_of_graph, implies as _implies
 from .atoms import recover_fcmi, recover_graph
 from .graphs import Graph
@@ -80,9 +81,7 @@ def cmd_entropy(args) -> int:
 def cmd_mu(args) -> int:
     mu, _ = _mu_from_args(args)
     if args.format == "text":
-        full = (1 << mu.n) - 1
-        texts = atom_texts(mu.n, range(full))
-        _emit("\n".join(f"{t}\t{v:.12g}" for t, v in zip(texts, mu.table[:full].tolist())))
+        _emit("\n".join(f"{t}\t{v:.12g}" for t, v in mu.to_json()["values"].items()))
     else:
         _emit(mu.to_json())
     return 0
@@ -136,7 +135,7 @@ def cmd_subfield(args) -> int:
             if key not in d:
                 raise ValueError(f"subfield JSON missing field {key!r}")
         g = Graph.from_json(d["graph"])
-        keep = [int(v) for v in d["V_prime"]]
+        keep = json_vertex_mask(d["V_prime"], g.n, "subfield JSON field 'V_prime'")
     else:
         if not args.graph or args.vp is None:
             raise ValueError("supply --graph and --vp, or --input")
@@ -312,7 +311,7 @@ def main(argv=None) -> int:
         # as in Python's signal docs: the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError, KeyError, TypeError) as e:
+    except (ValueError, OSError, KeyError, TypeError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

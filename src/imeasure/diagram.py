@@ -1,11 +1,12 @@
 """Recursive construction plans for customized information diagrams.
 
-A diagram for a graph on 1..n is grown one variable at a time: first reduce
-the graph to its boundary graphs on the prefixes {1..m}, then walk m upward,
-deciding for every connected atom of the previous stage whether the new
-variable's curve splits it, includes it, or excludes it.  Disconnected atoms
-stay suppressed: both of their children remain disconnected, and no connected
-atom ever loses both children, so the walk never gets stuck.
+A diagram for a graph on 1..n is grown one variable at a time: first take
+the graph's boundary graphs on the prefixes {1..m}, each in closed form
+(`subfield.g_star_closed_form`), then walk m upward, deciding for every
+connected atom of the previous stage whether the new variable's curve splits
+it, includes it, or excludes it.  Disconnected atoms stay suppressed: both of
+their children remain disconnected, and no connected atom ever loses both
+children, so the walk never gets stuck.
 
 Every stage is typed at once from the connectivity tables of the stage-m-1
 and stage-m boundary graphs (`Graph.connected_table`).
@@ -22,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .atoms import Atom, AtomSet, atom_texts
-from .graphs import Graph, clique_edges
+from .graphs import Graph
+from .subfield import g_star_closed_form
 
 
 class Action(str, Enum):
@@ -37,23 +39,14 @@ _ACTIONS = (Action.SPLIT, Action.INCLUDE, Action.EXCLUDE)  # codes 0, 1, 2 of _s
 def elimination_sequence(g: Graph) -> list[Graph]:
     """Boundary graphs of every label prefix, ending with g itself.
 
-    Entry m-1 is the boundary graph on {1..m}, built by eliminating the top
-    vertex one step at a time (each step cliques the dropped vertex's
-    neighborhood).
+    Entry m-1 is the boundary graph on {1..m} as a graph on 1..m: the closed
+    form, which equals eliminating the vertices above m one at a time.
     """
     if g.vmask != (1 << g.n) - 1:
         raise ValueError("elimination needs a graph on the full universe 1..n")
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    seq: list[Graph] = [g] * g.n
-    cur = g
-    for m in range(g.n - 1, 0, -1):
-        top = m + 1
-        edges = set((u, v) for u, v in cur.edges if v != top)  # edges are sorted pairs
-        edges |= clique_edges(cur.adjacency(top))
-        cur = Graph(m, edges)
-        seq[m - 1] = cur
-    return seq
+    return [Graph(m, g_star_closed_form(g, (1 << m) - 1).edges) for m in range(1, g.n)] + [g]
 
 
 def _stage_actions(seq: list[Graph], m: int) -> np.ndarray:

@@ -40,12 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import as_mask, iter_bits, json_var_count, verts_of
+from ._bits import as_mask, check_var_count, iter_bits, json_var_count, verts_of
 from .atoms import Atom, AtomSet, AtomType, FCMI, atom_texts, image_of_fcmi, image_of_partial, type_of_atom
-from .graphs import Graph, maximal_cliques
+from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph, maximal_cliques
 
-MAX_ENUM_VARS = 16  # full-lattice transforms are O(n 2^n) space/time
-MAX_VARS = 24       # single-atom queries from a distribution
 PROB_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 DENSE_MAX_CELLS = 1 << 20      # largest joint tensor of the dense path (8 MB)
@@ -116,8 +114,7 @@ class Distribution:
 
     def _load(self, n: int, alphabets, configs, ps) -> None:
         """Validate the rows in one vectorised pass and store the support."""
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"variable count {n} outside 1..{MAX_VARS}")
+        check_var_count(n, MAX_VERTICES)
         alphabets = tuple(int(a) for a in alphabets)
         if len(alphabets) != n or any(a < 1 for a in alphabets):
             raise ValueError("alphabets must list one positive size per variable")
@@ -187,7 +184,10 @@ class Distribution:
             ps = [row["p"] for row in d["probs"]]
         except (KeyError, TypeError):
             raise ValueError("distribution JSON probs entries need fields 'x' and 'p'") from None
-        return cls._from_rows(json_var_count(d["n"], MAX_VARS), d["alphabets"], configs, ps)
+        alphabets = d["alphabets"]
+        if not isinstance(alphabets, list) or not all(type(a) is int for a in alphabets):
+            raise ValueError(f"distribution JSON field 'alphabets' must be a list of integers, got {alphabets!r}")
+        return cls._from_rows(json_var_count(d["n"], MAX_VERTICES), alphabets, configs, ps)
 
 
 # -- the lattice entropy engine ----------------------------------------------
@@ -317,8 +317,7 @@ class EntropyVector:
     __slots__ = ("n", "base", "table")
 
     def __init__(self, n: int, base: float, table: np.ndarray):
-        if not 1 <= n <= MAX_ENUM_VARS:
-            raise ValueError(f"variable count {n} outside 1..{MAX_ENUM_VARS}")
+        check_var_count(n, MAX_ATOM_VARS)
         _log_base(base)
         if table.shape != (1 << n,):
             raise ValueError(f"entropy table must have 2^{n} entries")
@@ -359,14 +358,22 @@ class EntropyVector:
         for key in ("n", "base", "h"):
             if key not in d:
                 raise ValueError(f"entropy JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ENUM_VARS)
+        n = json_var_count(d["n"], MAX_ATOM_VARS)
+        if not isinstance(d["h"], dict):
+            raise ValueError(f"entropy JSON field 'h' must be an object, got {type(d['h']).__name__}")
         table = np.zeros(1 << n)
-        seen = 0
+        keys: dict[int, str] = {}  # subset mask -> the key that named it
         for key, val in d["h"].items():
-            m = as_mask([int(t) for t in key.split(",")], n)
+            m = 0
+            for t in key.split(","):
+                v = int(t)
+                if not 1 <= v <= n:  # checked before the shift: a huge v would allocate a huge mask
+                    raise ValueError(f"entropy JSON key {key!r} names vertex {v} outside 1..{n}")
+                m |= 1 << (v - 1)
+            if keys.setdefault(m, key) != key:
+                raise ValueError(f"entropy JSON keys {keys[m]!r} and {key!r} name the same subset")
             table[m] = float(val)
-            seen += 1
-        if seen != (1 << n) - 1:
+        if len(keys) != (1 << n) - 1:
             raise ValueError(f"entropy JSON field 'h' must cover all {(1 << n) - 1} subsets")
         return cls(n, float(d["base"]), table)
 
@@ -377,8 +384,7 @@ class IMeasureVector:
     __slots__ = ("n", "base", "table")
 
     def __init__(self, n: int, base: float, table: np.ndarray):
-        if not 1 <= n <= MAX_ENUM_VARS:
-            raise ValueError(f"variable count {n} outside 1..{MAX_ENUM_VARS}")
+        check_var_count(n, MAX_ATOM_VARS)
         _log_base(base)
         if table.shape != (1 << n,):
             raise ValueError(f"measure table must have 2^{n} entries")
@@ -412,7 +418,7 @@ class IMeasureVector:
         for key in ("n", "base", "values"):
             if key not in d:
                 raise ValueError(f"measure JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ENUM_VARS)
+        n = json_var_count(d["n"], MAX_ATOM_VARS)
         table = np.zeros(1 << n)
         for text, val in d["values"].items():
             a = Atom.from_text(text, n)
@@ -440,8 +446,7 @@ def _superset_sums(values: np.ndarray, n: int, sign: float = 1.0) -> np.ndarray:
 
 def entropy_vector(p: Distribution, base: float = 2.0) -> EntropyVector:
     """All 2^n - 1 marginal entropies of a distribution."""
-    if p.n > MAX_ENUM_VARS:
-        raise ValueError(f"full entropy vector supports up to {MAX_ENUM_VARS} variables")
+    check_var_count(p.n, MAX_ATOM_VARS)
     lb = _log_base(base)
     return EntropyVector(p.n, base, _lattice_entropies(p, 0, (1 << p.n) - 1) / lb)
 

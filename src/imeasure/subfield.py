@@ -4,10 +4,12 @@ Drop some variables of a field represented by a graph and the remainder is
 always represented by one specific graph on the kept vertices, and by nothing
 smaller: connect two kept vertices whenever the original graph joins them by
 a path whose interior runs entirely through dropped vertices.  The library
-builds it in closed form, cliquing the neighborhood of every dropped
-component; the test suite checks that against direct path search and
-one-vertex-at-a-time elimination.  Also here: the tree criterion, the
-minimality witnesses, and the smallest-graph pipeline.
+builds it in closed form, cliquing the kept neighbors of every dropped
+component (a component of the graph minus the kept set); the test suite checks
+that against direct path search and one-vertex-at-a-time elimination.  The
+tree criterion reads the same components, and so do the diagram plans, whose
+prefix graphs are closed forms.  Also here: the minimality witnesses and the
+smallest-graph pipeline.
 """
 
 from __future__ import annotations
@@ -30,18 +32,24 @@ def _keep_mask(g: Graph, keep) -> int:
     return kmask
 
 
+def _dropped_components(g: Graph, kmask: int) -> list[tuple[int, int]]:
+    """Every component of g minus the kept set, by lowest vertex, with the
+    mask of its kept neighbors."""
+    return [(c, g.neighbor_mask(c)) for c in g.component_masks(kmask)]
+
+
 def g_star_closed_form(g: Graph, keep) -> Graph:
     """Boundary graph in closed form.
 
-    Induced edges, plus a clique on the neighborhood of every component of
-    the dropped vertices.
+    Induced edges, plus a clique on the kept neighbors of every dropped
+    component.
     """
     kmask = _keep_mask(g, keep)
     edges = set(
         (u, v) for u, v in g.edges if (kmask >> (u - 1)) & 1 and (kmask >> (v - 1)) & 1
     )
-    for comp in g.component_masks(kmask):  # components of g minus the kept set
-        edges |= clique_edges(g.neighbor_mask(comp))
+    for _, nb in _dropped_components(g, kmask):
+        edges |= clique_edges(nb)
     return Graph(g.n, edges, vertices=kmask)
 
 
@@ -54,20 +62,12 @@ def boundary_set(g: Graph, keep) -> frozenset[int]:
 @dataclass(frozen=True)
 class SubfieldResult:
     g_star: Graph
-    construction: str
     rho: frozenset[int]  # boundary set of the kept vertices
-
-    def to_json(self) -> dict:
-        return {
-            "g_star": self.g_star.to_json(),
-            "construction": self.construction,
-            "rho": sorted(self.rho),
-        }
 
 
 def subfield_graph(g: Graph, keep) -> SubfieldResult:
-    """Boundary graph plus the boundary set, via the closed form."""
-    return SubfieldResult(g_star_closed_form(g, keep), "closed_form", boundary_set(g, keep))
+    """Boundary graph plus the boundary set."""
+    return SubfieldResult(g_star_closed_form(g, keep), boundary_set(g, keep))
 
 
 def equals_induced(g: Graph, keep) -> bool:
@@ -76,8 +76,7 @@ def equals_induced(g: Graph, keep) -> bool:
     That holds iff every dropped component's neighborhood, which the closed
     form cliques, is already a clique.
     """
-    kmask = _keep_mask(g, keep)
-    return all(clique_edges(g.neighbor_mask(c)) <= g.edges for c in g.component_masks(kmask))
+    return all(clique_edges(nb) <= g.edges for _, nb in _dropped_components(g, _keep_mask(g, keep)))
 
 
 def cutset_lift(g: Graph, keep, t) -> bool:
@@ -93,27 +92,23 @@ def cutset_lift(g: Graph, keep, t) -> bool:
 @dataclass(frozen=True)
 class SubtreeCheck:
     is_subtree: bool
-    witness_vertex: int | None  # dropped vertex seeing >= 3 kept vertices
+    witness_vertex: int | None  # lowest vertex of a dropped component with >= 3 kept neighbors
     witness_targets: tuple[int, ...]
 
 
 def subtree_condition(g: Graph, keep) -> SubtreeCheck:
     """Tree criterion for the boundary graph of a tree.
 
-    Fails exactly when some dropped vertex reaches three or more kept vertices
-    by paths whose interiors stay inside the dropped set: those targets then
-    form a cycle in the boundary graph.  Rejects non-tree inputs.
+    Fails exactly when some dropped component has three or more kept
+    neighbors: those form a triangle in the boundary graph.  The witness is the
+    first such component's lowest vertex and its three lowest kept neighbors.
+    Rejects non-tree inputs.
     """
     if g.component_count(0) != 1 or len(g.edges) != len(g.vertices) - 1:
         raise ValueError("subtree condition applies to trees only")
-    kmask = _keep_mask(g, keep)
-    interior = g.vmask & ~kmask
-    for b in iter_bits(interior):
-        u = b.bit_length()
-        # kept vertices next to u or to the dropped vertices u reaches through dropped ones
-        targets = g.neighbor_mask(g._spread(g.adjacency(u), interior & ~b) | b)
-        if targets.bit_count() >= 3:
-            return SubtreeCheck(False, u, verts_of(targets)[:3])
+    for comp, nb in _dropped_components(g, _keep_mask(g, keep)):
+        if nb.bit_count() >= 3:
+            return SubtreeCheck(False, (comp & -comp).bit_length(), verts_of(nb)[:3])
     return SubtreeCheck(True, None, ())
 
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imeasure import AtomSet, Distribution, FCMI, Graph
 from imeasure.cli import main
@@ -359,3 +364,66 @@ def test_json_counts_and_vertices_must_be_integers(capsys, tmp_path):
     dpath = write_json(tmp_path, "d.json", {"n": 1.0, "alphabets": [2], "probs": [{"x": [0], "p": 1.0}]})
     code, out, err = run_cli(capsys, "entropy", "--dist", dpath)
     assert_input_error(code, out, err, "variable count must be an integer")
+
+
+def test_entropy_json_keys_naming_one_subset_exit_two(capsys, tmp_path):
+    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": {"1": 1.0, "1,1": 1.0, "1,2": 2.0}})
+    code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
+    assert_input_error(code, out, err, "entropy JSON keys '1' and '1,1' name the same subset")
+
+
+def test_entropy_json_field_h_must_be_an_object(capsys, tmp_path):
+    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": [1.0]})
+    code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
+    assert_input_error(code, out, err, "entropy JSON field 'h' must be an object, got list")
+
+
+def test_entropy_json_huge_numbers_exit_two(capsys, tmp_path):
+    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": {"1": 1.0, "2": 1.0, "1," + "9" * 30: 2.0}})
+    code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
+    assert_input_error(code, out, err, "names vertex " + "9" * 30 + " outside 1..2")
+    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": {"1": 1.0, "2": 1.0, "1,2": 10**400}})
+    code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
+    assert_input_error(code, out, err, "too large to convert to float")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+SUBSET_KEYS = st.sampled_from(["1", "2", "1,2", "2,1", "1,1", "3", "0", "", "1,", "x", "9" * 30])
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=JSON_VALUES | st.dictionaries(SUBSET_KEYS, JSON_VALUES, max_size=4))
+def test_entropy_json_h_of_any_type_exits_zero_or_two(h):
+    with tempfile.TemporaryDirectory() as tmp:
+        hpath = os.path.join(tmp, "h.json")
+        with open(hpath, "w") as fh:
+            json.dump({"n": 2, "base": 2.0, "h": h}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["mu", "--entropy", hpath])
+    if code == 0:
+        assert json.loads(out.getvalue())["n"] == 2 and err.getvalue() == ""
+    else:
+        assert_input_error(code, out.getvalue(), err.getvalue(), "")
+
+
+def test_subfield_json_v_prime_must_list_integer_vertices(capsys, tmp_path):
+    g = json.loads(fixture_path("graph_sep5.json").read_text())
+    for keep, needle in (([1.7, True, "3"], "subfield JSON field 'V_prime' holds 1.7"),
+                         ([2, True], "subfield JSON field 'V_prime' holds True"),
+                         (5, "subfield JSON field 'V_prime' must be a list of vertices"),
+                         ([2, 6], "vertex 6 exceeds universe 1..5")):
+        ipath = write_json(tmp_path, "in.json", {"graph": g, "V_prime": keep})
+        code, out, err = run_cli(capsys, "subfield", "--input", ipath)
+        assert_input_error(code, out, err, needle)
+
+
+def test_distribution_json_alphabets_must_be_integers(capsys, tmp_path):
+    for alphabets in ([2.9, True], [2, 2.0], [2, "2"], 2):
+        d = {"n": 2, "alphabets": alphabets, "probs": [{"x": [0, 0], "p": 1.0}]}
+        code, out, err = run_cli(capsys, "entropy", "--dist", write_json(tmp_path, "d.json", d))
+        assert_input_error(code, out, err, "distribution JSON field 'alphabets' must be a list of integers")

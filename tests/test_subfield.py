@@ -190,12 +190,22 @@ def test_paths_always_stay_paths():
 
 def test_subtree_condition_equals_tree_check():
     rng = random.Random(89)
+    failures = 0
     for _ in range(200):
         n = rng.randint(2, 12)
         g = Graph(n, random_tree_edges(rng, n))
         keep = [v for v in range(1, n + 1) if rng.random() < 0.55] or [rng.randint(1, n)]
         gs = g_star_paths(g, keep)
-        assert subtree_condition(g, keep).is_subtree == is_tree(n, gs.edges, vertices=keep)
+        res = subtree_condition(g, keep)
+        assert res.is_subtree == is_tree(n, gs.edges, vertices=keep)
+        if not res.is_subtree:
+            # the witness: a dropped vertex whose component sees three kept
+            # vertices, which the boundary graph joins into a triangle
+            failures += 1
+            assert res.witness_vertex not in keep
+            assert len(res.witness_targets) == 3 and set(res.witness_targets) <= set(keep)
+            assert all(gs.has_edge(u, v) for u, v in itertools.combinations(res.witness_targets, 2))
+    assert failures > 20
 
 
 # -- smallest representation -----------------------------------------------------------
