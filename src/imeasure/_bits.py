@@ -1,4 +1,4 @@
-"""Bitmask helpers for vertex sets, and the checks on counts and vertices read from JSON.
+"""Bitmask helpers for vertex sets, and the range checks on counts and vertices.
 
 Vertices are 1-based; vertex i occupies bit i-1.  All set-valued quantities
 in the hot paths are plain ints so that subset tests, unions and complements
@@ -6,18 +6,6 @@ are single machine operations.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of 1-based vertices into a bitmask."""
-    m = 0
-    for v in vertices:
-        if v < 1:
-            raise ValueError(f"vertex {v} is not 1-based")
-        m |= 1 << (v - 1)
-    return m
 
 
 def verts_of(mask: int) -> tuple[int, ...]:
@@ -51,14 +39,19 @@ def submasks(mask: int):
 def as_mask(vertices, n: int | None = None) -> int:
     """Coerce an int mask or an iterable of vertices to a mask.
 
-    When `n` is given, reject vertices outside 1..n.
+    When `n` is given, reject vertices outside 1..n, each before its shift.
     """
     if isinstance(vertices, int):
-        m = vertices
-    else:
-        m = mask_of(vertices)
-    if n is not None and m & ~((1 << n) - 1):
-        raise ValueError(f"vertex set 0b{m:b} exceeds universe 1..{n}")
+        if n is not None and vertices & ~((1 << n) - 1):
+            raise ValueError(f"vertex set 0b{vertices:b} exceeds universe 1..{n}")
+        return vertices
+    m = 0
+    for v in vertices:
+        if v < 1:
+            raise ValueError(f"vertex {v} is not 1-based")
+        if n is not None and v > n:
+            raise ValueError(f"vertex {v} exceeds universe 1..{n}")
+        m |= 1 << (v - 1)
     return m
 
 
@@ -67,25 +60,3 @@ def check_var_count(n: int, cap: int) -> int:
     if not 1 <= n <= cap:
         raise ValueError(f"variable count {n} outside 1..{cap}")
     return n
-
-
-def json_var_count(value, cap: int) -> int:
-    """A variable count read from JSON: an int (not a bool or a float) in 1..cap."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"variable count must be an integer, got {value!r}")
-    return check_var_count(value, cap)
-
-
-def json_vertex_mask(values, n: int, field: str) -> int:
-    """Mask of a JSON vertex list, each an int (not a bool or a float) in 1..n,
-    checked before any shift; `field` names the list in messages."""
-    if not isinstance(values, list):
-        raise ValueError(f"{field} must be a list of vertices, got {values!r}")
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{field} holds {v!r}, not an integer vertex")
-        if v < 1:
-            raise ValueError(f"vertex {v} is not 1-based")
-        if v > n:
-            raise ValueError(f"vertex {v} exceeds universe 1..{n}")
-    return mask_of(values)

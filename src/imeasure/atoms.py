@@ -20,7 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._bits import as_mask, check_var_count, iter_bits, json_var_count, json_vertex_mask, submasks, verts_of
+from . import _intake as intake
+from ._bits import as_mask, check_var_count, iter_bits, submasks, verts_of
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
 
 PIECE_VARS = 8  # variables per label piece
@@ -85,6 +86,8 @@ class Atom:
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "Atom":
         """Parse "1 2' 3" (apostrophe) or the macron form produced by str()."""
+        if not isinstance(text, str):
+            raise ValueError(f"atom text must be a string, got {intake.show(text)}")
         comp = []
         seen = []
         for tok in text.split():
@@ -106,11 +109,9 @@ class Atom:
 
     @classmethod
     def from_json(cls, d: dict) -> "Atom":
-        for key in ("n", "complemented"):
-            if key not in d:
-                raise ValueError(f"atom JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_VERTICES)
-        return cls(n, json_vertex_mask(d["complemented"], n, "atom JSON field 'complemented'"))
+        n, comp = intake.fields(d, "atom JSON", "n", "complemented")
+        n = intake.var_count(n, MAX_VERTICES)
+        return cls(n, intake.vertex_mask(comp, n, "atom JSON field 'complemented'"))
 
 
 @functools.lru_cache(maxsize=None)  # keyed by (1, h) and (h + 1, n): a few dozen entries at most
@@ -213,14 +214,10 @@ class FCMI:
 
     @classmethod
     def from_json(cls, d: dict) -> "FCMI":
-        for key in ("n", "T", "Q"):
-            if key not in d:
-                raise ValueError(f"independency JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ATOM_VARS)
-        if not isinstance(d["Q"], list):
-            raise ValueError("independency JSON field 'Q' must be a list of vertex lists")
-        given = json_vertex_mask(d["T"], n, "independency JSON field 'T'")
-        return cls(n, given, tuple(json_vertex_mask(q, n, "independency JSON field 'Q'") for q in d["Q"]))
+        n, given, groups = intake.fields(d, "independency JSON", "n", "T", "Q")
+        n = intake.var_count(n, MAX_ATOM_VARS)
+        given = intake.vertex_mask(given, n, "independency JSON field 'T'")
+        return cls(n, given, tuple(intake.vertex_lists(groups, n, "independency JSON field 'Q'").tolist()))
 
 
 class AtomSet:
@@ -312,21 +309,10 @@ class AtomSet:
     def from_json(cls, d: dict) -> "AtomSet":
         """Read {"n", "atoms"}, each atom a list of its complemented vertices
         in any order, repeats allowed; an atom may be listed more than once."""
-        for key in ("n", "atoms"):
-            if key not in d:
-                raise ValueError(f"atom set JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ATOM_VARS)
-        rows, field = d["atoms"], "atom set JSON field 'atoms'"
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError(f"{field} must be a list of vertex lists")
-        flat = list(itertools.chain.from_iterable(rows))
+        n, rows = intake.fields(d, "atom set JSON", "n", "atoms")
+        n = intake.var_count(n, MAX_ATOM_VARS)
         full = (1 << n) - 1
-        if not set(map(type, flat)) <= {int} or (flat and not 1 <= min(flat) <= max(flat) <= n):
-            for r in rows:  # raises at the first faulty atom, with its own message
-                Atom(n, json_vertex_mask(r, n, field))
-        hit = np.zeros((len(rows), n), dtype=bool)
-        hit[np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.array(flat, dtype=np.intp) - 1] = True
-        masks = hit @ (1 << np.arange(n))
+        masks = intake.vertex_lists(rows, n, "atom set JSON field 'atoms'", each=functools.partial(Atom, n))
         if (masks == full).any():
             Atom(n, full)  # the all-complemented atom is empty: raises
         flags = np.zeros(full, dtype=bool)

@@ -4,7 +4,9 @@ Exit codes: 0 for success or a true verdict, 1 for a false verdict (the
 payload carries the witness), 2 for input errors, and 141 (the status a
 shell reports for SIGPIPE) when stdout is closed before the payload is
 written, with nothing on stderr.  Payloads go to stdout, diagnostics to
-stderr, and all output is byte-deterministic for fixed inputs.
+stderr, and all output is byte-deterministic for fixed inputs.  Every input,
+JSON file or flag, is read by the rules listed under "Input rules" in
+README.md; a broken one exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import json
 import os
 import sys
 
+from . import _intake as intake
 from . import diagram as diagram_mod
 from . import subfield as subfield_mod
-from ._bits import json_vertex_mask
 from .atoms import AtomSet, FCMI, NotAnFcmiImage, atom_texts, image_of_fcmi, image_of_graph, implies as _implies
 from .atoms import recover_fcmi, recover_graph
 from .graphs import Graph
@@ -27,18 +29,9 @@ from .measures import (
     entropy_vector,
     measure_from_distribution,
     mu_from_entropy,
-    _check_tol,
     vanishing_atoms,
 )
 from .witnesses import FieldSpec, atom_concentrator, ring_field_witness, star_xor_witness
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: malformed JSON ({e})") from e
 
 
 def _emit(payload) -> None:
@@ -50,30 +43,25 @@ def _emit(payload) -> None:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _vset(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t != ""]
-    except ValueError as e:
-        raise ValueError(f"bad vertex list {text!r}: comma-separated integers expected") from e
+def _either(args, a: str, b: str) -> bool:
+    """Whether --a was given rather than --b; exactly one of the two must be."""
+    if (getattr(args, a) is None) == (getattr(args, b) is None):
+        raise ValueError(f"supply --{a} or --{b} (one, not both)")
+    return getattr(args, a) is not None
 
 
 def _mu_from_args(args) -> "tuple":
-    if getattr(args, "dist", None) and getattr(args, "entropy", None):
-        raise ValueError("supply --dist or --entropy, not both")
-    if getattr(args, "dist", None):
-        dist = Distribution.from_json(_load_json(args.dist))
+    if _either(args, "dist", "entropy"):
+        dist = Distribution.from_json(intake.load(args.dist))
         return measure_from_distribution(dist, args.base), dist
-    if getattr(args, "entropy", None):
-        h = EntropyVector.from_json(_load_json(args.entropy))
-        return mu_from_entropy(h), None
-    raise ValueError("supply --dist or --entropy")
+    return mu_from_entropy(EntropyVector.from_json(intake.load(args.entropy))), None
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_entropy(args) -> int:
-    dist = Distribution.from_json(_load_json(args.dist))
+    dist = Distribution.from_json(intake.load(args.dist))
     _emit(entropy_vector(dist, args.base).to_json())
     return 0
 
@@ -89,7 +77,7 @@ def cmd_mu(args) -> int:
 
 def cmd_check_mrf(args) -> int:
     mu, _ = _mu_from_args(args)
-    g = Graph.from_json(_load_json(args.graph))
+    g = Graph.from_json(intake.load(args.graph))
     res = check_mrf(mu, g, args.tol)
     texts = atom_texts(g.n, [a.complemented for a, _ in res.violations])
     _emit(
@@ -102,20 +90,16 @@ def cmd_check_mrf(args) -> int:
 
 
 def cmd_image(args) -> int:
-    if args.graph and args.fcmi:
-        raise ValueError("supply --graph or --fcmi, not both")
-    if args.graph:
-        img = image_of_graph(Graph.from_json(_load_json(args.graph)))
-    elif args.fcmi:
-        img = image_of_fcmi(FCMI.from_json(_load_json(args.fcmi)))
+    if _either(args, "graph", "fcmi"):
+        img = image_of_graph(Graph.from_json(intake.load(args.graph)))
     else:
-        raise ValueError("supply --graph or --fcmi")
+        img = image_of_fcmi(FCMI.from_json(intake.load(args.fcmi)))
     _emit(img.to_json())
     return 0
 
 
 def cmd_recover(args) -> int:
-    img = AtomSet.from_json(_load_json(args.atoms))
+    img = AtomSet.from_json(intake.load(args.atoms))
     if args.target == "graph":
         _emit(recover_graph(img).to_json())
         return 0
@@ -130,17 +114,14 @@ def cmd_recover(args) -> int:
 
 def cmd_subfield(args) -> int:
     if args.input:
-        d = _load_json(args.input)
-        for key in ("graph", "V_prime"):
-            if key not in d:
-                raise ValueError(f"subfield JSON missing field {key!r}")
-        g = Graph.from_json(d["graph"])
-        keep = json_vertex_mask(d["V_prime"], g.n, "subfield JSON field 'V_prime'")
+        gd, keep = intake.fields(intake.load(args.input), "subfield JSON", "graph", "V_prime")
+        g = Graph.from_json(gd)
+        keep = intake.vertex_mask(keep, g.n, "subfield JSON field 'V_prime'")
     else:
         if not args.graph or args.vp is None:
             raise ValueError("supply --graph and --vp, or --input")
-        g = Graph.from_json(_load_json(args.graph))
-        keep = _vset(args.vp)
+        g = Graph.from_json(intake.load(args.graph))
+        keep = intake.int_list(args.vp, "vertex list")
     res = subfield_mod.subfield_graph(g, keep)
     if args.format == "dot":
         _emit(res.g_star.to_dot(name="g_star"))
@@ -156,22 +137,20 @@ def cmd_subfield(args) -> int:
 
 
 def cmd_smallest(args) -> int:
-    _check_tol(args.tol)
-    if args.atoms:
-        van = AtomSet.from_json(_load_json(args.atoms))
-    elif args.dist:
-        dist = Distribution.from_json(_load_json(args.dist))
-        van = vanishing_atoms(measure_from_distribution(dist, args.base), args.tol)
+    intake.finite(args.tol, "tolerance", 0)
+    if _either(args, "atoms", "dist"):
+        van = AtomSet.from_json(intake.load(args.atoms))
     else:
-        raise ValueError("supply --atoms or --dist")
+        dist = Distribution.from_json(intake.load(args.dist))
+        van = vanishing_atoms(measure_from_distribution(dist, args.base), args.tol)
     res = subfield_mod.smallest_graph(van)
     _emit(res.to_json())
     return 0 if res.exists else 1
 
 
 def cmd_subtree(args) -> int:
-    g = Graph.from_json(_load_json(args.graph))
-    res = subfield_mod.subtree_condition(g, _vset(args.vp))
+    g = Graph.from_json(intake.load(args.graph))
+    res = subfield_mod.subtree_condition(g, intake.int_list(args.vp, "vertex list"))
     payload = {"is_subtree": res.is_subtree}
     if not res.is_subtree:
         payload["witness"] = {
@@ -185,7 +164,7 @@ def cmd_subtree(args) -> int:
 def cmd_diagram(args) -> int:
     if args.action != "plan":
         raise ValueError(f"unknown diagram action {args.action!r}")
-    g = Graph.from_json(_load_json(args.graph))
+    g = Graph.from_json(intake.load(args.graph))
     plan = diagram_mod.build_plan(g)
     _emit(diagram_mod.export_plan(plan, args.format))
     return 0
@@ -200,24 +179,21 @@ def _need(args, *names):
 def cmd_witness(args) -> int:
     if args.kind == "star":
         _need(args, "graph", "hub", "leaves")
-        g = Graph.from_json(_load_json(args.graph))
-        dist = star_xor_witness(g, args.hub, _vset(args.leaves))
+        g = Graph.from_json(intake.load(args.graph))
+        dist = star_xor_witness(g, args.hub, intake.int_list(args.leaves, "vertex list"))
     elif args.kind == "ring":
         _need(args, "n", "field", "alphas")
-        dist = ring_field_witness(args.n, FieldSpec(args.field), _vset(args.alphas))
-    elif args.kind == "atom":
+        dist = ring_field_witness(args.n, FieldSpec(args.field), intake.int_list(args.alphas, "multiplier list"))
+    else:  # "atom": the parser admits no other kind
         _need(args, "n", "support")
-        dist = atom_concentrator(args.n, _vset(args.support))
-    else:
-        raise ValueError(f"unknown witness kind {args.kind!r}")
+        dist = atom_concentrator(args.n, intake.int_list(args.support, "vertex list"))
     _emit(dist.to_json())
     return 0
 
 
 def cmd_implies(args) -> int:
-    pi1 = [FCMI.from_json(d) for d in _load_json(args.pi1)]
-    pi2 = [FCMI.from_json(d) for d in _load_json(args.pi2)]
-    verdict = _implies(pi1, pi2)
+    pi1, pi2 = (intake.expect(intake.load(p), list, "independency list JSON") for p in (args.pi1, args.pi2))
+    verdict = _implies([FCMI.from_json(d) for d in pi1], [FCMI.from_json(d) for d in pi2])
     _emit({"implies": verdict})
     return 0 if verdict else 1
 
@@ -225,8 +201,13 @@ def cmd_implies(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 with one line, like any input error
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="imeasure",
         description="Atom measures, Markov random fields, subfield graphs, diagram plans",
     )
@@ -301,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here rather than at exit
         return code

@@ -22,8 +22,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import _intake as intake
 from .atoms import Atom, AtomSet, atom_texts
-from .graphs import Graph
+from .graphs import MAX_ATOM_VARS, Graph
 from .subfield import g_star_closed_form
 
 
@@ -106,24 +107,20 @@ class DiagramPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "DiagramPlan":
-        for key in ("n", "sequence", "steps", "final_type1"):
-            if key not in d:
-                raise ValueError(f"plan JSON missing field {key!r}")
-        n = int(d["n"])
-        sequence = tuple(Graph.from_json(gd) for gd in d["sequence"])
-        steps = []
-        for i, sd in enumerate(d["steps"]):
-            m = int(sd["m"])
-            if m != i + 2:
+        n, sequence, steps, final = intake.fields(d, "plan JSON", "n", "sequence", "steps", "final_type1")
+        n = intake.var_count(n, MAX_ATOM_VARS)
+        sequence = tuple(Graph.from_json(gd) for gd in intake.expect(sequence, list, "plan JSON field 'sequence'"))
+        out = []
+        for i, sd in enumerate(intake.expect(steps, list, "plan JSON field 'steps'")):
+            m, rows = intake.fields(sd, "plan JSON step", "m", "actions")
+            if intake.var_count(m, MAX_ATOM_VARS) != i + 2:
                 raise ValueError("plan JSON steps out of order")
-            steps.append(
-                {
-                    Atom.from_text(row["atom"], m - 1): Action(row["action"])
-                    for row in sd["actions"]
-                }
-            )
-        final = AtomSet.of(n, (Atom.from_text(t, n) for t in d["final_type1"]))
-        return cls(n, sequence, tuple(steps), final)
+            texts, actions = intake.columns(rows, f"plan JSON step {m} field 'actions'", "atom", "action")
+            cmasks = intake.atom_cmasks(texts, m - 1, f"plan JSON step {m}")
+            out.append({Atom(m - 1, c): Action(a) for c, a in zip(cmasks, actions)})
+        flags = np.zeros((1 << n) - 1, dtype=bool)
+        flags[intake.atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
+        return cls(n, sequence, tuple(out), AtomSet.from_flags(n, flags))
 
 
 def build_plan(g: Graph) -> DiagramPlan:
@@ -165,5 +162,5 @@ def export_plan(plan: DiagramPlan, fmt: str = "json") -> str:
 
 def parse_plan(text: str) -> DiagramPlan:
     """Inverse of export_plan(..., "json")."""
-    return DiagramPlan.from_json(json.loads(text))
+    return DiagramPlan.from_json(intake.loads(text, "plan text"))
 

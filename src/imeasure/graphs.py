@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._bits import as_mask, iter_bits, json_var_count, json_vertex_mask, mask_of, verts_of
+from . import _intake as intake
+from ._bits import as_mask, iter_bits, verts_of
 
 MAX_VERTICES = 24
 MAX_ATOM_VARS = 16  # tables over all 2^n vertex sets; atom enumeration shares the cap
@@ -211,7 +212,7 @@ class Graph:
         return Graph(
             new_n,
             [(mapping[u], mapping[v]) for u, v in self.edges],
-            vertices=mask_of(images),
+            vertices=as_mask(images),
         )
 
     # -- serialization -----------------------------------------------------
@@ -224,19 +225,13 @@ class Graph:
 
     @classmethod
     def from_json(cls, d: dict) -> "Graph":
-        if not isinstance(d, dict) or "n" not in d:
-            raise ValueError("graph JSON must be an object with field 'n'")
-        if "edges" not in d:
-            raise ValueError("graph JSON missing field 'edges'")
-        n = json_var_count(d["n"], MAX_VERTICES)
-        edges = d["edges"]
-        if not isinstance(edges, list):
-            raise ValueError("graph JSON field 'edges' must be a list")
-        for e in edges:
+        n, edges = intake.fields(d, "graph JSON", "n", "edges")
+        n = intake.var_count(n, MAX_VERTICES)
+        for e in intake.expect(edges, list, "graph JSON field 'edges'"):
             if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
-                raise ValueError(f"graph JSON field 'edges' holds {e!r}, not a pair of integer vertices")
+                raise ValueError(f"graph JSON field 'edges' holds {intake.show(e)}, not a pair of integer vertices")
         vs = d.get("vertices")
-        vmask = None if vs is None else json_vertex_mask(vs, n, "graph JSON field 'vertices'")
+        vmask = None if vs is None else intake.vertex_mask(vs, n, "graph JSON field 'vertices'")
         return cls(n, [tuple(e) for e in edges], vertices=vmask)
 
     def to_dot(self, name: str = "g") -> str:

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import as_mask, check_var_count, iter_bits, json_var_count, verts_of
+from . import _intake as intake
+from ._bits import as_mask, check_var_count, iter_bits, verts_of
 from .atoms import Atom, AtomSet, AtomType, FCMI, atom_texts, image_of_fcmi, image_of_partial, type_of_atom
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph, maximal_cliques
 
@@ -53,42 +54,34 @@ SPARSE_BATCH_CELLS = 1 << 16   # labels refined by one numpy call on the sparse 
 
 def _log_base(base) -> float:
     """Natural log of an entropy base, which must be a finite number above 1."""
-    base = float(base)
-    if not 1.0 < base < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"log base must be a finite number above 1, got {base}")
-    return math.log(base)
+    return math.log(intake.finite(base, "log base", 1, above=True))
 
 
-def _check_tol(tol) -> float:
-    """A tolerance, which must be a finite number >= 0."""
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
-    return tol
-
-
-def _check_finite(table: np.ndarray, what: str, name) -> None:
-    """Reject a table holding NaN or an infinity; `name(i)` labels entry i."""
-    bad = ~np.isfinite(table)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"non-finite {what} {table[i]} at {name(i)}")
+def _store_table(obj, n: int, base, table: np.ndarray, what: str, empty: int, where) -> None:
+    """Check and store `n`, `base` and a 2^n-entry float table whose entry `empty` is 0."""
+    check_var_count(n, MAX_ATOM_VARS)
+    _log_base(base)
+    if table.shape != (1 << n,):
+        raise ValueError(f"{what} table must have 2^{n} entries")
+    obj.n, obj.base, obj.table = n, float(base), table.astype(float)
+    obj.table[empty] = 0.0
+    intake.check_finite(obj.table, what, where)
 
 
 def _config_array(configs, n: int) -> np.ndarray:
-    """Configurations as an (s, n) int64 array; a malformed one raises ValueError."""
+    """Configurations as an (s, n) int64 array, by one dtype test: bools read as 0 and 1, other non-ints raise."""
     try:
-        x = np.array(configs, dtype=np.int64)
+        x = np.array(configs)
     except (ValueError, TypeError, OverflowError):
         x = None
-    if x is not None and x.shape == (len(configs), n):
-        return x
+    if x is not None and x.shape == (len(configs), n) and x.dtype.kind in "bi":
+        return x.astype(np.int64, copy=False)
     if len(configs) == 0:
         return np.zeros((0, n), dtype=np.int64)
     for i, c in enumerate(configs):
-        if np.shape(c) != (n,):
-            raise ValueError(f"configuration {c!r} in probs row {i} does not have {n} symbols")
-    raise ValueError("configuration symbols must be integers")
+        if not isinstance(c, (list, tuple, np.ndarray)) or len(c) != n:
+            raise ValueError(f"configuration {intake.show(c)} in probs row {i} does not have {n} symbols")
+    raise ValueError("configuration symbols must be integers below 2**63")
 
 
 class Distribution:
@@ -133,14 +126,16 @@ class Distribution:
             if flags.any():
                 i = flags.argmax()
                 raise ValueError(f"{what} probability {p[i]} at {tuple(x[i].tolist())}")
-        order = np.lexsort(x.T[::-1])  # stable: equal rows keep their input order
-        x, p = x[order], p[order]
-        dup = (x[1:] == x[:-1]).all(axis=1)
-        if dup.any():
-            i = dup.argmax()
-            raise ValueError(
-                f"duplicate configuration {tuple(x[i].tolist())} in probs rows {order[i]} and {order[i + 1]}"
-            )
+        step = x[1:] - x[:-1]  # rows already in strictly increasing order need no sort
+        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+            order = np.lexsort(x.T[::-1])  # stable: equal rows keep their input order
+            x, p = x[order], p[order]
+            dup = (x[1:] == x[:-1]).all(axis=1)
+            if dup.any():
+                i = dup.argmax()
+                raise ValueError(
+                    f"duplicate configuration {tuple(x[i].tolist())} in probs rows {order[i]} and {order[i + 1]}"
+                )
         total = float(p.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -176,18 +171,12 @@ class Distribution:
 
     @classmethod
     def from_json(cls, d: dict) -> "Distribution":
-        for key in ("n", "alphabets", "probs"):
-            if key not in d:
-                raise ValueError(f"distribution JSON missing field {key!r}")
-        try:
-            configs = [row["x"] for row in d["probs"]]
-            ps = [row["p"] for row in d["probs"]]
-        except (KeyError, TypeError):
-            raise ValueError("distribution JSON probs entries need fields 'x' and 'p'") from None
-        alphabets = d["alphabets"]
+        n, alphabets, probs = intake.fields(d, "distribution JSON", "n", "alphabets", "probs")
+        n = intake.var_count(n, MAX_VERTICES)
         if not isinstance(alphabets, list) or not all(type(a) is int for a in alphabets):
-            raise ValueError(f"distribution JSON field 'alphabets' must be a list of integers, got {alphabets!r}")
-        return cls._from_rows(json_var_count(d["n"], MAX_VERTICES), alphabets, configs, ps)
+            raise ValueError(f"distribution JSON field 'alphabets' must be a list of integers, got {intake.show(alphabets)}")
+        configs, ps = intake.columns(probs, "distribution JSON field 'probs'", "x", "p")
+        return cls._from_rows(n, alphabets, configs, intake.numbers(ps, "probability", lambda i: f"probs row {i}"))
 
 
 # -- the lattice entropy engine ----------------------------------------------
@@ -317,15 +306,7 @@ class EntropyVector:
     __slots__ = ("n", "base", "table")
 
     def __init__(self, n: int, base: float, table: np.ndarray):
-        check_var_count(n, MAX_ATOM_VARS)
-        _log_base(base)
-        if table.shape != (1 << n,):
-            raise ValueError(f"entropy table must have 2^{n} entries")
-        self.n = n
-        self.base = float(base)
-        self.table = table.astype(float)
-        self.table[0] = 0.0
-        _check_finite(self.table, "entropy", lambda m: f"subset {','.join(map(str, verts_of(m)))}")
+        _store_table(self, n, base, table, "entropy", 0, lambda m: f"subset {','.join(map(str, verts_of(m)))}")
 
     def h(self, subset) -> float:
         m = as_mask(subset, self.n)
@@ -355,27 +336,7 @@ class EntropyVector:
 
     @classmethod
     def from_json(cls, d: dict) -> "EntropyVector":
-        for key in ("n", "base", "h"):
-            if key not in d:
-                raise ValueError(f"entropy JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ATOM_VARS)
-        if not isinstance(d["h"], dict):
-            raise ValueError(f"entropy JSON field 'h' must be an object, got {type(d['h']).__name__}")
-        table = np.zeros(1 << n)
-        keys: dict[int, str] = {}  # subset mask -> the key that named it
-        for key, val in d["h"].items():
-            m = 0
-            for t in key.split(","):
-                v = int(t)
-                if not 1 <= v <= n:  # checked before the shift: a huge v would allocate a huge mask
-                    raise ValueError(f"entropy JSON key {key!r} names vertex {v} outside 1..{n}")
-                m |= 1 << (v - 1)
-            if keys.setdefault(m, key) != key:
-                raise ValueError(f"entropy JSON keys {keys[m]!r} and {key!r} name the same subset")
-            table[m] = float(val)
-        if len(keys) != (1 << n) - 1:
-            raise ValueError(f"entropy JSON field 'h' must cover all {(1 << n) - 1} subsets")
-        return cls(n, float(d["base"]), table)
+        return cls(*intake.lattice_table(d, "entropy", "h", "subset", intake.subset_masks, MAX_ATOM_VARS))
 
 
 class IMeasureVector:
@@ -384,15 +345,8 @@ class IMeasureVector:
     __slots__ = ("n", "base", "table")
 
     def __init__(self, n: int, base: float, table: np.ndarray):
-        check_var_count(n, MAX_ATOM_VARS)
-        _log_base(base)
-        if table.shape != (1 << n,):
-            raise ValueError(f"measure table must have 2^{n} entries")
-        self.n = n
-        self.base = float(base)
-        self.table = table.astype(float)
-        self.table[(1 << n) - 1] = 0.0  # the all-complemented atom is empty
-        _check_finite(self.table, "measure", lambda c: f"atom {Atom(n, c).to_text()}")
+        # entry -1 belongs to the all-complemented atom, which is empty
+        _store_table(self, n, base, table, "measure", -1, lambda c: f"atom {Atom(n, c).to_text()}")
 
     def value(self, a: Atom) -> float:
         if a.n != self.n:
@@ -415,15 +369,7 @@ class IMeasureVector:
 
     @classmethod
     def from_json(cls, d: dict) -> "IMeasureVector":
-        for key in ("n", "base", "values"):
-            if key not in d:
-                raise ValueError(f"measure JSON missing field {key!r}")
-        n = json_var_count(d["n"], MAX_ATOM_VARS)
-        table = np.zeros(1 << n)
-        for text, val in d["values"].items():
-            a = Atom.from_text(text, n)
-            table[a.complemented] = float(val)
-        return cls(n, float(d["base"]), table)
+        return cls(*intake.lattice_table(d, "measure", "values", "atom", intake.atom_cmasks, MAX_ATOM_VARS))
 
 
 # -- lattice transforms ------------------------------------------------------
@@ -529,7 +475,7 @@ def fcmi_holds(k: FCMI, mu: IMeasureVector, tol: float = DEFAULT_TOL) -> bool:
     Full statements require every image atom to vanish; partial statements
     require each expanded part to sum to zero within tolerance.
     """
-    tol = _check_tol(tol)
+    tol = intake.finite(tol, "tolerance", 0)
     if k.n != mu.n:
         raise ValueError("statement and measure disagree on the variable count")
     if k.is_full:
@@ -545,7 +491,7 @@ class MrfCheck:
 
 def check_mrf(mu: IMeasureVector, g: Graph, tol: float = DEFAULT_TOL) -> MrfCheck:
     """Whether the measure vanishes on every atom whose complemented set cuts g."""
-    tol = _check_tol(tol)
+    tol = intake.finite(tol, "tolerance", 0)
     if mu.n != g.n:
         raise ValueError("measure and graph disagree on the variable count")
     if g.vmask != (1 << g.n) - 1:
@@ -557,7 +503,7 @@ def check_mrf(mu: IMeasureVector, g: Graph, tol: float = DEFAULT_TOL) -> MrfChec
 
 def vanishing_atoms(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> AtomSet:
     """Atoms where the measure is zero within tolerance."""
-    tol = _check_tol(tol)
+    tol = intake.finite(tol, "tolerance", 0)
     return AtomSet.from_flags(mu.n, np.abs(mu.table[:-1]) <= tol)
 
 
@@ -569,7 +515,7 @@ class NonnegativityReport:
 
 def nonnegativity_report(mu: IMeasureVector, tol: float = DEFAULT_TOL) -> NonnegativityReport:
     """List the atoms where the measure dips below -tol."""
-    tol = _check_tol(tol)
+    tol = intake.finite(tol, "tolerance", 0)
     neg = tuple((Atom(mu.n, c), float(mu.table[c])) for c in np.flatnonzero(mu.table[:-1] < -tol).tolist())
     return NonnegativityReport(not neg, neg)
 
@@ -614,7 +560,7 @@ def reduce_atom(g: Graph, a: Atom) -> Reduction:
 
 def verify_reduction(g: Graph, a: Atom, mu: IMeasureVector, tol: float = 1e-6) -> bool:
     """Check the reduction identity for one atom under a concrete measure."""
-    tol = _check_tol(tol)
+    tol = intake.finite(tol, "tolerance", 0)
     red = reduce_atom(g, a)
     lhs = mu.value(a)
     rhs = measure_of_expression(mu, red.kept_mask, a.complemented)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from ._bits import as_mask, verts_of
-from .graphs import Graph
+from ._bits import as_mask, check_var_count, verts_of
+from .graphs import MAX_VERTICES, Graph
 from .measures import Distribution
 
 MAX_FIELD = 257
@@ -87,6 +87,8 @@ def star_xor_witness(g: Graph, hub: int, leaves) -> Distribution:
     leaves = tuple(leaves)
     if len(leaves) != 3 or len(set(leaves)) != 3:
         raise ValueError("need three distinct leaves")
+    if not 1 <= hub <= g.n or not (g.vmask >> (hub - 1)) & 1:
+        raise ValueError(f"hub {hub} is not a vertex of the graph")
     if g.degree(hub) < 3:
         raise ValueError(f"vertex {hub} has degree {g.degree(hub)} < 3")
     for v in leaves:
@@ -143,7 +145,7 @@ def atom_concentrator(n: int, support, z_probs=(0.5, 0.5)) -> Distribution:
     The resulting measure is H(source) on the single atom whose plain
     variables are exactly the support, and zero on every other atom.
     """
-    smask = as_mask(support, n)
+    smask = as_mask(support, check_var_count(n, MAX_VERTICES))
     if smask == 0:
         raise ValueError("support must be nonempty")
     z_probs = tuple(float(p) for p in z_probs)

@@ -427,3 +427,72 @@ def test_distribution_json_alphabets_must_be_integers(capsys, tmp_path):
         d = {"n": 2, "alphabets": alphabets, "probs": [{"x": [0, 0], "p": 1.0}]}
         code, out, err = run_cli(capsys, "entropy", "--dist", write_json(tmp_path, "d.json", d))
         assert_input_error(code, out, err, "distribution JSON field 'alphabets' must be a list of integers")
+
+
+# -- input rules: each case exits 2 with one stderr line ----------------------------
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "image", "--graph", str(deep))
+    assert_input_error(code, out, err, "JSON nested too deeply")
+
+
+def test_distribution_symbols_and_probabilities_must_be_numbers_of_their_kind(capsys, tmp_path):
+    def dist(x, p):
+        return {"n": 2, "alphabets": [2, 2], "probs": [{"x": x, "p": p}, {"x": [0, 0], "p": 0.5}]}
+
+    for x, p, needle in (([1.7, 0], 0.5, "configuration symbols must be integers"),
+                         (["1", 0], 0.5, "configuration symbols must be integers"),
+                         ([None, 0], 0.5, "configuration symbols must be integers"),
+                         ([1, 0], "0.5", "non-finite probability '0.5' at probs row 0: a str, not a number"),
+                         ([1, 0], True, "non-finite probability True at probs row 0: a bool, not a number"),
+                         ([1.7, 0], "0.5", "error:")):
+        code, out, err = run_cli(capsys, "entropy", "--dist", write_json(tmp_path, "d.json", dist(x, p)))
+        assert_input_error(code, out, err, needle)
+    # bools are ints to numpy: a true symbol reads as 1
+    code, out, _ = run_cli(capsys, "entropy", "--dist", write_json(tmp_path, "d.json", dist([True, 0], 0.5)))
+    assert code == 0 and json.loads(out)["h"]["1"] == pytest.approx(1.0)
+
+
+def test_huge_cli_vertex_is_range_checked_before_any_shift(capsys):
+    huge = "9" * 30
+    code, out, err = run_cli(capsys, "subfield", "--graph", P4, "--vp", "1," + huge)
+    assert_input_error(code, out, err, f"vertex {huge} exceeds universe 1..4")
+    code, out, err = run_cli(capsys, "subtree", "--graph", P4, "--vp", huge)
+    assert_input_error(code, out, err, f"vertex {huge} exceeds universe 1..4")
+    code, out, err = run_cli(capsys, "witness", "atom", "--n", "3", "--support", "1," + huge)
+    assert_input_error(code, out, err, f"vertex {huge} exceeds universe 1..3")
+
+
+def test_implies_needs_lists_of_statements(capsys, tmp_path):
+    one = {"n": 3, "T": [], "Q": [[1], [2], [3]]}
+    kpath, lpath = write_json(tmp_path, "k.json", one), write_json(tmp_path, "l.json", [one])
+    code, out, err = run_cli(capsys, "implies", "--pi1", kpath, "--pi2", lpath)
+    assert_input_error(code, out, err, "independency list JSON must be a list, got dict")
+    code, out, err = run_cli(capsys, "implies", "--pi1", lpath, "--pi2", write_json(tmp_path, "b.json", [[1, 2]]))
+    assert_input_error(code, out, err, "independency JSON must be an object, got list")
+
+
+def test_star_witness_hub_must_be_a_vertex(capsys):
+    for hub in ("99", "0", "-1"):
+        code, out, err = run_cli(capsys, "witness", "star", "--graph", STAR4, "--hub", hub, "--leaves", "1,2,3")
+        assert_input_error(code, out, err, f"hub {hub} is not a vertex of the graph")
+    code, out, _ = run_cli(capsys, "witness", "star", "--graph", STAR4, "--hub", "4", "--leaves", "1,2,3")
+    assert code == 0 and json.loads(out)["n"] == 4
+
+
+def test_usage_errors_exit_two_with_one_line(capsys):
+    for argv in (["check-mrf", "--dist", XOR3, "--graph", P4, "--tol", "abc"],
+                 ["entropy", "--dist", XOR3, "--base"],
+                 ["witness", "star", "--graph", STAR4, "--hub", "1e3", "--leaves", "1,2,3"],
+                 ["no-such-command"],
+                 []):
+        code, out, err = run_cli(capsys, *argv)
+        assert_input_error(code, out, err, "")
+
+
+def test_witness_atom_variable_count_is_checked_first(capsys):
+    code, out, err = run_cli(capsys, "witness", "atom", "--n", "1000000000000", "--support", "1")
+    assert_input_error(code, out, err, "variable count 1000000000000 outside 1..24")
