@@ -110,14 +110,18 @@ class DiagramPlan:
         n, sequence, steps, final = intake.fields(d, "plan JSON", "n", "sequence", "steps", "final_type1")
         n = intake.var_count(n, MAX_ATOM_VARS)
         sequence = tuple(Graph.from_json(gd) for gd in intake.expect(sequence, list, "plan JSON field 'sequence'"))
+        if len(sequence) != n or len(intake.expect(steps, list, "plan JSON field 'steps'")) != n - 1:
+            raise ValueError(f"plan JSON over {n} variables needs {n} graphs and {n - 1} steps")
         out = []
-        for i, sd in enumerate(intake.expect(steps, list, "plan JSON field 'steps'")):
+        for i, sd in enumerate(steps):
             m, rows = intake.fields(sd, "plan JSON step", "m", "actions")
             if intake.var_count(m, MAX_ATOM_VARS) != i + 2:
                 raise ValueError("plan JSON steps out of order")
             texts, actions = intake.columns(rows, f"plan JSON step {m} field 'actions'", "atom", "action")
             cmasks = intake.atom_cmasks(texts, m - 1, f"plan JSON step {m}")
             out.append({Atom(m - 1, c): Action(a) for c, a in zip(cmasks, actions)})
+            if len(out[-1]) != len(cmasks):
+                raise ValueError(f"plan JSON step {m} names an atom twice")
         flags = np.zeros((1 << n) - 1, dtype=bool)
         flags[intake.atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
         return cls(n, sequence, tuple(out), AtomSet.from_flags(n, flags))

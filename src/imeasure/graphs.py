@@ -212,7 +212,7 @@ class Graph:
         return Graph(
             new_n,
             [(mapping[u], mapping[v]) for u, v in self.edges],
-            vertices=as_mask(images),
+            vertices=as_mask(images, new_n),
         )
 
     # -- serialization -----------------------------------------------------

@@ -42,6 +42,8 @@ def test_library_vertex_lists_are_bounded_before_any_shift():
         Atom.of(3, [HUGE])
     with pytest.raises(ValueError, match=want):
         subtree_condition(Graph.path(3), [1, HUGE])
+    with pytest.raises(ValueError, match=want):
+        Graph.path(3).relabel({1: 1, 2: 2, 3: HUGE})
     with pytest.raises(ValueError, match="^vertex 0 is not 1-based$"):
         Atom.of(3, [0])
 
@@ -137,8 +139,17 @@ def test_plan_json_reads_the_verdicts_of_from_text(caterpillar6):
         else:
             with pytest.raises(ValueError):
                 DiagramPlan.from_json(d)
-    for bad in ({**d, "n": "6"}, {**d, "n": 6.0}, {**d, "steps": {}}, {k: v for k, v in d.items() if k != "steps"}):
-        with pytest.raises(ValueError):
+    row["atom"] = text
+    twice = json.loads(json.dumps(d))
+    twice["steps"][1]["actions"].append({"atom": text, "action": "exclude"})
+    for bad, message in (({**d, "n": "6"}, "variable count"),
+                         ({**d, "n": 6.0}, "variable count"),
+                         ({**d, "steps": {}}, "'steps' must be a list"),
+                         ({k: v for k, v in d.items() if k != "steps"}, "missing field 'steps'"),
+                         ({**d, "steps": d["steps"][:2]}, "needs 6 graphs and 5 steps"),
+                         ({**d, "sequence": d["sequence"][1:]}, "needs 6 graphs and 5 steps"),
+                         (twice, "step 3 names an atom twice")):
+        with pytest.raises(ValueError, match=message):
             DiagramPlan.from_json(bad)
 
 
