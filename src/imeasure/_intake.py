@@ -155,7 +155,11 @@ def numbers(values: list, what: str, where) -> np.ndarray:
     """Finite JSON numbers (ints or floats, not bools or strings) as a float array."""
     if not set(map(type, values)) <= {int, float}:
         i, v = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
-        raise ValueError(f"non-finite {what} {show(v)} at {where(i)}: a {type(v).__name__}, not a number")
+        try:  # a string such as "NaN" names a non-finite value: say so
+            lead = "" if math.isfinite(float(v)) else "non-finite "
+        except (TypeError, ValueError):
+            lead = ""
+        raise ValueError(f"{lead}{what} {show(v)} at {where(i)} is a {type(v).__name__}, not a number")
     try:
         table = np.array(values, dtype=float)
     except OverflowError:

@@ -74,7 +74,7 @@ def _config_array(configs, n: int) -> np.ndarray:
         x = np.array(configs)
     except (ValueError, TypeError, OverflowError):
         x = None
-    if x is not None and x.shape == (len(configs), n) and x.dtype.kind in "bi":
+    if x is not None and x.shape == (len(configs), n) and x.dtype.kind in "biu":
         return x.astype(np.int64, copy=False)
     if len(configs) == 0:
         return np.zeros((0, n), dtype=np.int64)
@@ -126,16 +126,14 @@ class Distribution:
             if flags.any():
                 i = flags.argmax()
                 raise ValueError(f"{what} probability {p[i]} at {tuple(x[i].tolist())}")
-        step = x[1:] - x[:-1]  # rows already in strictly increasing order need no sort
-        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
-            order = np.lexsort(x.T[::-1])  # stable: equal rows keep their input order
-            x, p = x[order], p[order]
-            dup = (x[1:] == x[:-1]).all(axis=1)
-            if dup.any():
-                i = dup.argmax()
-                raise ValueError(
-                    f"duplicate configuration {tuple(x[i].tolist())} in probs rows {order[i]} and {order[i + 1]}"
-                )
+        order = np.lexsort(x.T[::-1])  # stable: equal rows keep their input order
+        x, p = x[order], p[order]
+        dup = (x[1:] == x[:-1]).all(axis=1)
+        if dup.any():
+            i = dup.argmax()
+            raise ValueError(
+                f"duplicate configuration {tuple(x[i].tolist())} in probs rows {order[i]} and {order[i + 1]}"
+            )
         total = float(p.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")

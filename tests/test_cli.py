@@ -446,8 +446,8 @@ def test_distribution_symbols_and_probabilities_must_be_numbers_of_their_kind(ca
     for x, p, needle in (([1.7, 0], 0.5, "configuration symbols must be integers"),
                          (["1", 0], 0.5, "configuration symbols must be integers"),
                          ([None, 0], 0.5, "configuration symbols must be integers"),
-                         ([1, 0], "0.5", "non-finite probability '0.5' at probs row 0: a str, not a number"),
-                         ([1, 0], True, "non-finite probability True at probs row 0: a bool, not a number"),
+                         ([1, 0], "0.5", "probability '0.5' at probs row 0 is a str, not a number"),
+                         ([1, 0], True, "probability True at probs row 0 is a bool, not a number"),
                          ([1.7, 0], "0.5", "error:")):
         code, out, err = run_cli(capsys, "entropy", "--dist", write_json(tmp_path, "d.json", dist(x, p)))
         assert_input_error(code, out, err, needle)

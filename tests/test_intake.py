@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from imeasure import (
     Atom,
     DiagramPlan,
+    Distribution,
     Graph,
     IMeasureVector,
     atom_concentrator,
@@ -61,7 +62,7 @@ def test_measure_json_must_name_every_atom_once():
     with pytest.raises(ValueError, match="^measure JSON keys \"1 2'\" and \"2' 1\" name the same atom$"):
         IMeasureVector.from_json({"n": 2, "base": 2.0, "values": clash})
     for base in ("2", True, None):
-        with pytest.raises(ValueError, match="^non-finite log base .* at measure JSON field 'base'"):
+        with pytest.raises(ValueError, match="^log base .* at measure JSON field 'base' is a [a-zA-Z]+, not a number$"):
             IMeasureVector.from_json({"n": 2, "base": base, "values": values})
 
 
@@ -104,6 +105,15 @@ ODD_TEXTS = [
     "",
     "1 2 x",
 ]
+
+
+def test_library_configurations_may_be_unsigned():
+    u8 = np.uint8
+    d = Distribution(2, [2, 3], {(u8(1), u8(2)): 0.5, (u8(0), u8(0)): 0.5})
+    assert d.support.tolist() == [[0, 0], [1, 2]] and d.support.dtype == np.int64
+    top = np.uint64(2**63)  # wraps negative in int64, so the alphabet check rejects it
+    with pytest.raises(ValueError, match="outside the alphabets"):
+        Distribution(2, [2, 2], {(top, np.uint64(0)): 1.0})
 
 
 def test_atom_text_reader_matches_from_text():
