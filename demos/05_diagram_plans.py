@@ -5,6 +5,9 @@ set separates the graph.  The plan works through the boundary graphs of the
 label prefixes: when curve m arrives, every surviving atom is split, included
 in the new curve, or excluded from it, and the suppressed atoms never come
 back.  The output is a structural plan: which action applies to which atom.
+A plan holds one int8 action code per atom of each stage (0 split, 1 include,
+2 exclude, -1 for a suppressed atom); `plan.steps` reads them as atom -> action
+dicts.
 """
 
 from imeasure import Action, Graph, build_plan, elimination_sequence, export_plan, parse_plan
@@ -15,7 +18,8 @@ for m, g in enumerate(elimination_sequence(star), start=1):
     print(f"   stage {m}:", sorted(g.edges) or "-")
 
 plan = build_plan(star)
-print("\nhub stage actions:")
+print("\nhub stage codes, by complemented mask:", list(plan.codes[-1]))
+print("the same stage as actions:")
 for atom, action in sorted(plan.steps[-1].items()):
     print(f"   {str(atom):10s} {action.value}")
 print("surviving atoms:", len(plan.final_type1), "of", 2**4 - 1)

@@ -168,23 +168,21 @@ def numbers(values: list, what: str, where) -> np.ndarray:
     return table
 
 
-_FLAGS = str.maketrans({"#": "1", " ": "0", **dict.fromkeys("0123456789")})
-
-
 def atom_cmasks(texts: list, n: int, what: str) -> list[int]:
     """Complemented masks of atom texts over 1..n, with the verdicts of
     `Atom.from_text`.  Texts in the library's own form ("1 2' 3") are read in
-    bulk: with a space appended, "' " marks a complemented variable and " " a
-    plain one, so "1' 2 3 " becomes "100", the mask 0b001 read right to left;
-    one comparison with the `atom_texts` of the masks confirms the whole list.
-    On a mismatch every text goes through `Atom.from_text`."""
-    from .atoms import Atom, atom_texts  # atoms reads its JSON through this module
+    bulk: split before " 9", each is the label of a low and a high piece (see
+    `atoms.atom_texts`), whose masks come from two cached dicts.  When a text
+    is in another form every text goes through `Atom.from_text`."""
+    from .atoms import PIECE_VARS, Atom, _label_masks  # atoms reads its JSON through this module
 
     expect(texts, list, what)
+    low, high = _label_masks(n)
     try:
-        cmasks = [int((t + " ").replace("' ", "#").translate(_FLAGS)[::-1], 2) for t in texts]
-    except (TypeError, ValueError):  # not a string, or not in the library's form
+        parts = (str.partition(t, f" {PIECE_VARS + 1}") for t in texts)
+        cmasks = [low[a] | high[s + b] << PIECE_VARS for a, s, b in parts]
+    except (TypeError, KeyError):  # not a string, or not in the library's form
         cmasks = None
-    if cmasks is not None and max(cmasks, default=0) < (1 << n) - 1 and atom_texts(n, cmasks) == texts:
+    if cmasks is not None and max(cmasks, default=0) < (1 << n) - 1:
         return cmasks
     return [Atom.from_text(t, n).complemented for t in texts]

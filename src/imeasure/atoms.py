@@ -126,6 +126,13 @@ def _label_piece(lo: int, hi: int) -> tuple[list, list]:
     return texts, [[v for v, f in zip(vs, fs) if f] for fs in flags]
 
 
+@functools.lru_cache(maxsize=None)
+def _label_masks(n: int) -> tuple[dict, dict]:
+    """The inverse of `_labels` for texts: mask of every low and high piece text."""
+    h = min(check_var_count(n, MAX_ATOM_VARS), PIECE_VARS)
+    return tuple({t: c for c, t in enumerate(_label_piece(lo, hi)[0])} for lo, hi in ((1, h), (h + 1, n)))
+
+
 def _labels(n: int, cmasks, kind: int) -> list:
     """Piece `kind` of mask c's label is low[c & (2^h - 1)] + high[c >> h]."""
     check_var_count(n, MAX_ATOM_VARS)

@@ -129,7 +129,7 @@ def cmd_subfield(args) -> int:
     _emit(
         {
             "g_star": res.g_star.to_json(),
-            "equals_induced": subfield_mod.equals_induced(g, keep),
+            "equals_induced": res.equals_induced,
             "rho": sorted(res.rho),
         }
     )

@@ -9,7 +9,10 @@ their children remain disconnected, and no connected atom ever loses both
 children, so the walk never gets stuck.
 
 Every stage is typed at once from the connectivity tables of the stage-m-1
-and stage-m boundary graphs (`Graph.connected_table`).
+and stage-m boundary graphs (`Graph.connected_table`).  A plan keeps one int8
+action code per atom of each stage, -1 for a disconnected atom, and derives
+`steps` from them.  Every export is written from the codes and the cached atom
+texts; the JSON one by an emitter in the layout of `json.dumps(..., indent=2)`.
 
 The plan is structural: actions plus atom bookkeeping, no geometry.
 """
@@ -23,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import _intake as intake
-from .atoms import Atom, AtomSet, atom_texts
+from .atoms import BAR, Atom, AtomSet, atom_texts
 from .graphs import MAX_ATOM_VARS, Graph
 from .subfield import g_star_closed_form
 
@@ -35,6 +38,7 @@ class Action(str, Enum):
 
 
 _ACTIONS = (Action.SPLIT, Action.INCLUDE, Action.EXCLUDE)  # codes 0, 1, 2 of _stage_actions
+_CODES = {a.value: code for code, a in enumerate(_ACTIONS)}
 
 
 def elimination_sequence(g: Graph) -> list[Graph]:
@@ -51,8 +55,8 @@ def elimination_sequence(g: Graph) -> list[Graph]:
 
 
 def _stage_actions(seq: list[Graph], m: int) -> np.ndarray:
-    """Action code (an index into _ACTIONS) of curve m for every atom of
-    stage m-1, by complemented mask; -1 marks the disconnected atoms.
+    """Action code (an index into _ACTIONS, as int8) of curve m for every atom
+    of stage m-1, by complemented mask; -1 marks the disconnected atoms.
 
     With gamma the neighbors of m in the stage-m graph: no gamma vertex plain
     in the atom means exclude; exactly one means split; two or more means the
@@ -68,7 +72,7 @@ def _stage_actions(seq: list[Graph], m: int) -> np.ndarray:
         [~g_prev.connected_table()[:-1], plain_gamma == 0, at_most_one | outside_connected],
         [-1, 2, 0],
         default=1,
-    )
+    ).astype(np.int8)
 
 
 def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
@@ -85,25 +89,29 @@ def classify_atom(seq: list[Graph], m: int, a: Atom) -> Action:
 
 @dataclass(frozen=True)
 class DiagramPlan:
+    """`codes[i]` holds the `_stage_actions` array of stage m = i + 2 as int8 bytes."""
+
     n: int
     sequence: tuple[Graph, ...]
-    steps: tuple[dict[Atom, Action], ...]  # steps[i] handles stage m = i + 2
+    codes: tuple[bytes, ...]
     final_type1: AtomSet
 
+    def _stages(self):
+        """(m, connected atoms of stage m-1 by ascending mask, their codes) for every m >= 2."""
+        for m, raw in enumerate(self.codes, start=2):
+            codes = np.frombuffer(raw, dtype=np.int8)
+            live = np.flatnonzero(codes >= 0)
+            yield m, live.tolist(), codes[live].tolist()
+
+    @property
+    def steps(self) -> tuple[dict[Atom, Action], ...]:
+        """steps[i] maps every connected atom of stage m-1 = i + 1 to the action of curve m."""
+        return tuple(
+            {Atom(m - 1, c): _ACTIONS[k] for c, k in zip(cs, ks)} for m, cs, ks in self._stages()
+        )
+
     def to_json(self) -> dict:
-        steps = []
-        for m, step in enumerate(self.steps, start=2):
-            rows = sorted((a.complemented, act.value) for a, act in step.items())
-            texts = atom_texts(m - 1, [c for c, _ in rows])
-            steps.append(
-                {"m": m, "actions": [{"atom": t, "action": v} for t, (_, v) in zip(texts, rows)]}
-            )
-        return {
-            "n": self.n,
-            "sequence": [g.to_json() for g in self.sequence],
-            "steps": steps,
-            "final_type1": atom_texts(self.n, self.final_type1.cmasks()),
-        }
+        return json.loads(_plan_json(self))  # one export path: the emitter
 
     @classmethod
     def from_json(cls, d: dict) -> "DiagramPlan":
@@ -112,53 +120,102 @@ class DiagramPlan:
         sequence = tuple(Graph.from_json(gd) for gd in intake.expect(sequence, list, "plan JSON field 'sequence'"))
         if len(sequence) != n or len(intake.expect(steps, list, "plan JSON field 'steps'")) != n - 1:
             raise ValueError(f"plan JSON over {n} variables needs {n} graphs and {n - 1} steps")
-        out = []
+        codes = []
         for i, sd in enumerate(steps):
             m, rows = intake.fields(sd, "plan JSON step", "m", "actions")
             if intake.var_count(m, MAX_ATOM_VARS) != i + 2:
                 raise ValueError("plan JSON steps out of order")
             texts, actions = intake.columns(rows, f"plan JSON step {m} field 'actions'", "atom", "action")
             cmasks = intake.atom_cmasks(texts, m - 1, f"plan JSON step {m}")
-            out.append({Atom(m - 1, c): Action(a) for c, a in zip(cmasks, actions)})
-            if len(out[-1]) != len(cmasks):
+            try:
+                ks = [_CODES[a] for a in actions]
+            except (KeyError, TypeError):  # Action() names the first value that is not an action
+                ks = [_ACTIONS.index(Action(a)) for a in actions]
+            if len(set(cmasks)) != len(cmasks):
                 raise ValueError(f"plan JSON step {m} names an atom twice")
+            code = np.full((1 << (m - 1)) - 1, -1, dtype=np.int8)
+            code[cmasks] = ks
+            codes.append(code.tobytes())
         flags = np.zeros((1 << n) - 1, dtype=bool)
         flags[intake.atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
-        return cls(n, sequence, tuple(out), AtomSet.from_flags(n, flags))
+        return cls(n, sequence, tuple(codes), AtomSet.from_flags(n, flags))
 
 
 def build_plan(g: Graph) -> DiagramPlan:
-    """Full construction plan: one action per connected atom per stage."""
+    """Full construction plan: one action code per atom per stage."""
     seq = elimination_sequence(g)
-    steps = []
-    for m in range(2, g.n + 1):
-        codes = _stage_actions(seq, m)
-        live = np.flatnonzero(codes >= 0).tolist()
-        steps.append({Atom(m - 1, c): _ACTIONS[k] for c, k in zip(live, codes[live].tolist())})
+    codes = tuple(_stage_actions(seq, m).tobytes() for m in range(2, g.n + 1))
     final = AtomSet.from_flags(g.n, g.connected_table()[:-1])  # the connected atoms
-    return DiagramPlan(g.n, tuple(seq), tuple(steps), final)
+    return DiagramPlan(g.n, tuple(seq), codes, final)
+
+
+# The JSON form is laid out as json.dumps(..., sort_keys=True, indent=2) plus a
+# newline, written directly: every key is known, and atom texts hold only
+# digits, spaces and apostrophes, so nothing needs escaping.  Values are
+# rendered strings; `depth` is the nesting level of the array or object.
+
+
+def _array(items: list[str], depth: int, head: str = "", tail: str = "") -> str:
+    """A JSON array of `head + item + tail` for every item."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + head + (tail + "," + pad + head).join(items) + tail + "\n" + "  " * depth + "]"
+
+
+def _object(fields: list[tuple[str, str]], depth: int) -> str:
+    """A JSON object of (key, rendered value) pairs, keys in sorted order."""
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + pad + ("," + pad).join(f'"{k}": {v}' for k, v in fields) + "\n" + "  " * depth + "}"
+
+
+# an action row sits at depth 4 (plan, steps, step, actions, row)
+_ROW_HEAD = [f'{{\n          "action": "{a.value}",\n          "atom": "' for a in _ACTIONS]
+_ROW_TAIL = '"\n        }'
+
+
+def _graph_json(g: Graph) -> str:
+    """A sequence entry (depth 2) with the fields of `Graph.to_json`."""
+    d = g.to_json()
+    fields = [("edges", _array([_array([str(u), str(v)], 4) for u, v in d["edges"]], 3)), ("n", str(g.n))]
+    if "vertices" in d:
+        fields.append(("vertices", _array(list(map(str, d["vertices"])), 3)))
+    return _object(fields, 2)
+
+
+def _plan_json(plan: DiagramPlan) -> str:
+    steps = [
+        _object([("actions", _array([_ROW_HEAD[k] + t for t, k in zip(atom_texts(m - 1, cs), ks)], 3, tail=_ROW_TAIL)),
+                 ("m", str(m))], 2)
+        for m, cs, ks in plan._stages()
+    ]
+    fields = [
+        ("final_type1", _array(atom_texts(plan.n, plan.final_type1.cmasks()), 1, '"', '"')),
+        ("n", str(plan.n)),
+        ("sequence", _array([_graph_json(g) for g in plan.sequence], 1)),
+        ("steps", _array(steps, 1)),
+    ]
+    return _object(fields, 0) + "\n"
 
 
 def export_plan(plan: DiagramPlan, fmt: str = "json") -> str:
     """Render a plan as machine JSON, DOT graph blocks, or a step table."""
     if fmt == "json":
-        return json.dumps(plan.to_json(), sort_keys=True, indent=2) + "\n"
+        return _plan_json(plan)
     if fmt == "dot":
         return "".join(
             g.to_dot(name=f"stage_{m}") for m, g in enumerate(plan.sequence, start=1)
         )
     if fmt == "text":
         lines = [f"diagram plan for {plan.n} variables"]
-        for i, step in enumerate(plan.steps):
-            m = i + 2
+        for m, cs, ks in plan._stages():
             lines.append(f"stage {m}: add curve {m}")
-            by_action: dict[Action, list[str]] = {a: [] for a in Action}
-            for atom, act in sorted(step.items()):
-                by_action[act].append(str(atom))
-            for act in Action:
-                if by_action[act]:
-                    lines.append(f"  {act.value:8s} {', '.join(by_action[act])}")
-        kept = ", ".join(str(a) for a in plan.final_type1)
+            texts = atom_texts(m - 1, cs)
+            for code, act in enumerate(_ACTIONS):
+                names = [t for t, k in zip(texts, ks) if k == code]
+                if names:
+                    lines.append(f"  {act.value:8s} {', '.join(names)}".replace("'", BAR))
+        kept = ", ".join(atom_texts(plan.n, plan.final_type1.cmasks())).replace("'", BAR)
         lines.append(f"kept atoms ({len(plan.final_type1)}): {kept}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

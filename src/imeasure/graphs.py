@@ -110,10 +110,12 @@ class Graph:
 
     def adjacency(self, v: int) -> int:
         """Neighbor mask of vertex v (restricted to the current universe)."""
+        if not 1 <= v <= self.n:  # _adj[0] is padding, and a negative v would count from the end
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.adjacency(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges

@@ -36,6 +36,7 @@ and every tol must be a finite number >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,14 @@ class Distribution:
     __slots__ = ("n", "alphabets", "support", "weights")
 
     def __init__(self, n: int, alphabets, probs: dict):
-        self._load(n, alphabets, list(probs), list(probs.values()))
+        alphabets, ps = list(alphabets), list(probs.values())
+        for values, kind, what, noun in ((alphabets, numbers.Integral, "alphabet size", "an integer"),
+                                         (ps, numbers.Real, "probability", "a number")):
+            bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, kind)}
+            if bad:  # one test per distinct type; numpy scalars are registered numbers and pass
+                v = next(v for v in values if type(v) in bad)
+                raise ValueError(f"{what} {intake.show(v)} is a {type(v).__name__}, not {noun}")
+        self._load(n, alphabets, list(probs), ps)
 
     @classmethod
     def _from_rows(cls, n: int, alphabets, configs, ps) -> "Distribution":

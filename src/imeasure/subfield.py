@@ -63,11 +63,15 @@ def boundary_set(g: Graph, keep) -> frozenset[int]:
 class SubfieldResult:
     g_star: Graph
     rho: frozenset[int]  # boundary set of the kept vertices
+    equals_induced: bool  # whether g_star is the induced subgraph
 
 
 def subfield_graph(g: Graph, keep) -> SubfieldResult:
-    """Boundary graph plus the boundary set."""
-    return SubfieldResult(g_star_closed_form(g, keep), boundary_set(g, keep))
+    """Boundary graph, boundary set and `equals_induced`, walking the dropped
+    components once: g_star holds the induced edges, so it adds nothing to them
+    iff all its edges are edges of g."""
+    g_star = g_star_closed_form(g, keep)
+    return SubfieldResult(g_star, boundary_set(g, keep), g_star.edges <= g.edges)
 
 
 def equals_induced(g: Graph, keep) -> bool:

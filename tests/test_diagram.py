@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imeasure import (
     Action,
@@ -250,3 +252,81 @@ def test_plan_json_schema_fields(caterpillar6):
     d = json.loads(export_plan(build_plan(caterpillar6), "json"))
     assert set(d) == {"n", "sequence", "steps", "final_type1"}
     assert [s["m"] for s in d["steps"]] == [2, 3, 4, 5, 6]
+
+
+def dumps_plan(plan: DiagramPlan) -> str:
+    """The JSON form by the general encoder, which export_plan must match byte for byte."""
+    return json.dumps(plan.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def json_by_atoms(plan: DiagramPlan) -> dict:
+    """The JSON form built from `steps`, sorting Atom objects."""
+    return {
+        "n": plan.n,
+        "sequence": [g.to_json() for g in plan.sequence],
+        "steps": [{"m": m, "actions": [{"atom": a.to_text(), "action": act.value} for a, act in sorted(step.items())]}
+                  for m, step in enumerate(plan.steps, start=2)],
+        "final_type1": [a.to_text() for a in sorted(plan.final_type1)],
+    }
+
+
+def text_by_atoms(plan: DiagramPlan) -> str:
+    """The text form built from `steps`, sorting Atom objects."""
+    lines = [f"diagram plan for {plan.n} variables"]
+    for m, step in enumerate(plan.steps, start=2):
+        lines.append(f"stage {m}: add curve {m}")
+        by_action = {a: [] for a in Action}
+        for a, act in sorted(step.items()):
+            by_action[act].append(str(a))
+        lines += [f"  {act.value:8s} {', '.join(by_action[act])}" for act in Action if by_action[act]]
+    lines.append(f"kept atoms ({len(plan.final_type1)}): {', '.join(str(a) for a in plan.final_type1)}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sparse_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs())
+@example(Graph(1))
+@example(Graph(7))
+@example(Graph(8, [(1, 2), (2, 3), (5, 6), (6, 8), (5, 8)]))
+@example(Graph.complete(10))
+def test_plan_emitter_matches_the_json_encoder(g):
+    plan = build_plan(g)
+    text = export_plan(plan)
+    assert text == dumps_plan(plan)
+    assert plan.to_json() == json_by_atoms(plan)
+    parsed = parse_plan(text)
+    assert parsed == plan and hash(parsed) == hash(plan)
+    assert export_plan(parsed) == text
+    assert export_plan(plan, "text") == text_by_atoms(plan)
+
+
+def test_plan_emitter_on_parsed_plans_the_builder_never_makes():
+    d = json.loads(export_plan(build_plan(Graph.path(3))))
+    d["sequence"][0]["vertices"] = []  # a graph whose vertex set is not 1..n
+    d["sequence"][1]["vertices"] = [2]
+    d["sequence"][1]["edges"] = []
+    d["steps"][0]["actions"] = []  # a stage that names no atom
+    d["final_type1"] = []
+    plan = DiagramPlan.from_json(d)
+    assert plan.steps[0] == {} and len(plan.final_type1) == 0
+    assert export_plan(plan) == dumps_plan(plan)
+    assert plan.to_json() == json_by_atoms(plan) == d
+    assert export_plan(plan, "text") == text_by_atoms(plan)
+
+
+def test_plan_codes_are_the_stage_actions():
+    plan = build_plan(Graph(4, [(1, 4), (2, 4), (3, 4)]))
+    assert len(plan.codes) == 3
+    assert [len(c) for c in plan.codes] == [1, 3, 7]
+    # stage 4 (the hub): atoms 1 2 3 and those with one complemented leaf are included,
+    # those with two are split, the all-complemented one does not exist
+    assert list(plan.codes[-1]) == [1, 1, 1, 0, 1, 0, 0]
+    disconnected = list(build_plan(Graph.path(4)).codes[-1])
+    assert disconnected[0b010] == 0xFF  # atom 1 2' 3: the middle vertex separates the 3-path

@@ -51,6 +51,16 @@ def test_neighbor_set(pockets9):
     assert Graph.path(4).neighbor_set([2]) == frozenset({1, 3})
 
 
+def test_degree_and_adjacency_check_the_vertex():
+    g = Graph.path(3)
+    assert [g.degree(v) for v in (1, 2, 3)] == [1, 2, 1]
+    assert g.adjacency(2) == 0b101
+    for v in (-1, 0, 4):  # -1 used to read vertex 3's entry, 0 the padding entry
+        for query in (g.degree, g.adjacency):
+            with pytest.raises(ValueError, match=rf"^vertex {v} outside 1\.\.3$"):
+                query(v)
+
+
 def test_clique_edges():
     assert len(clique_edges([1, 2, 5, 6])) == 6
     assert clique_edges([7]) == frozenset()

@@ -127,6 +127,29 @@ def test_atom_text_reader_matches_from_text():
         atom_cmasks(["1 2 3", 5], 3, "atoms")
 
 
+EDITS = [
+    lambda t: t,
+    lambda t: t.replace("'", BAR),
+    lambda t: " ".join(reversed(t.split())),
+    lambda t: t.replace(" ", "  ", 1),
+    lambda t: t.rsplit(" ", 1)[0],  # drops the last variable
+    lambda t: t + " 17",
+    lambda t: t.replace(" 9", " 9'", 1),  # complements 9, or doubles its apostrophe
+    lambda t: t.replace(" 9", " 9 9", 1),
+    lambda t: t.replace(" 9", "", 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_atom_text_reader_matches_from_text_at_every_size(n, data):
+    # texts span both label pieces from n = 9 on; mask 2^n - 1 is the all-complemented atom
+    texts = atom_texts(n, data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)))
+    i = data.draw(st.integers(0, len(texts) - 1))
+    texts[i] = data.draw(st.sampled_from(EDITS))(texts[i])
+    assert bulk_verdict(texts, n) == from_text_verdict(texts, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(alphabet="123' " + BAR, max_size=9), max_size=4), st.integers(1, 4))
 def test_atom_text_reader_matches_from_text_on_any_text(texts, n):

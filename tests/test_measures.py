@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def test_distribution_validation():
         Distribution(2, (2, 2), {(0, 2): 1.0})
     with pytest.raises(ValueError):
         Distribution(2, (2, 2), {(0, 0): 1.5, (1, 1): -0.5})
+
+
+def test_distribution_constructor_checks_types():
+    for alphabets, bad in (([2.9, True], "alphabet size 2.9 is a float, not an integer"),
+                           ([2, True], "alphabet size True is a bool, not an integer"),
+                           ([2, "2"], "alphabet size '2' is a str, not an integer"),
+                           ([None, 2], "alphabet size None is a NoneType, not an integer")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(bad)}$"):
+            Distribution(2, alphabets, {(0, 0): 1.0})
+    for p, bad in (("1.0", "'1.0' is a str"), (None, "None is a NoneType"), (True, "True is a bool")):
+        with pytest.raises(ValueError, match=rf"^probability {re.escape(bad)}, not a number$"):
+            Distribution(2, (2, 2), {(0, 0): p})
+    for alphabets, p in (([np.float64(2), 2], 1.0), ([2, 2], np.bool_(True))):  # numpy reprs vary by version
+        with pytest.raises(ValueError, match="not an integer|not a number"):
+            Distribution(2, alphabets, {(0, 0): p})
+    # numpy scalars stay accepted
+    d = Distribution(2, [np.int64(2), np.uint8(3)], {(0, 0): np.float32(0.5), (1, 2): np.float64(0.25), (1, 1): 0.25})
+    assert d.alphabets == (2, 3) and d.weights.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_distribution_rejects_nan_probability():

@@ -129,6 +129,8 @@ def test_equals_induced_matches_edge_sets():
         keep = [v for v in range(1, n + 1) if rng.random() < 0.6] or [1]
         direct = set(g_star_paths(g, keep).edges) == set(g.remove(set(range(1, n + 1)) - set(keep)).edges)
         assert equals_induced(g, keep) == direct
+        res = subfield_graph(g, keep)
+        assert (res.g_star, res.rho, res.equals_induced) == (g_star_paths(g, keep), boundary_set(g, keep), direct)
 
 
 def test_boundary_set(sep5, pockets9):
@@ -137,6 +139,7 @@ def test_boundary_set(sep5, pockets9):
     res = subfield_graph(pockets9, KEEP9)
     assert res.rho == frozenset({1, 2, 5, 6, 8, 9})
     assert res.g_star == g_star_paths(pockets9, KEEP9)
+    assert not res.equals_induced
 
 
 # -- cutset lifting -----------------------------------------------------------------
