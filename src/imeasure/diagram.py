@@ -138,7 +138,17 @@ class DiagramPlan:
             codes.append(code.tobytes())
         flags = np.zeros((1 << n) - 1, dtype=bool)
         flags[intake.atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
-        return cls(n, sequence, tuple(codes), AtomSet.from_flags(n, flags))
+        plan = cls(n, sequence, tuple(codes), AtomSet.from_flags(n, flags))
+        g = sequence[-1]
+        if g.n != n or g.vmask != (1 << n) - 1:
+            raise ValueError(f"plan JSON sequence graph {n} must be a graph on 1..{n}")
+        built = build_plan(g)
+        if plan != built:  # name the first stage whose graph or step differs
+            differ = [m for m in range(1, n + 1) if sequence[m - 1] != built.sequence[m - 1]
+                      or m > 1 and plan.codes[m - 2] != built.codes[m - 2]]
+            where = f"stage {differ[0]}" if differ else "field 'final_type1'"
+            raise ValueError(f"plan JSON {where} differs from the plan that build_plan makes of its last graph")
+        return plan
 
 
 def build_plan(g: Graph) -> DiagramPlan:

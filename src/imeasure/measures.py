@@ -18,15 +18,20 @@ one of two paths:
 
 - dense, when C <= min(DENSE_MAX_CELLS, DENSE_RATIO * s): build the joint
   probability tensor and walk the lattice depth-first, each child marginal one
-  axis-sum of its parent.  Only the tensors on the current path are alive,
-  about twice the joint tensor.  Cost: about prod(1 + alphabet) cells plus one
-  small numpy step per set.
+  axis-sum of its parent, then one star batch per subtree that fits the
+  budget: as soon as the star table of a subtree (each droppable axis given
+  one more "summed out" slot) holds at most BATCH_CELLS cells, all 2^limit
+  entropies of the subtree come from that one table in about 4 limit + 8
+  numpy calls.  Memory stays within about twice the joint tensor plus twice
+  BATCH_CELLS cells.  Cost: about prod(1 + alphabet) cells per free axis,
+  plus a few numpy steps per set walked above the batches (none when the
+  root fits).
 - sparse, otherwise: partition the support rows by the symbols of the set,
   refining one variable at a time; a row's label becomes the dense rank of
   (label, symbol), found by argsort and run starts, and the marginal weights
   are sums over the runs (`np.add.reduceat`).  Labels stay below `s`, so no
   code overflows however many variables there are.  Label rows of many sets
-  are refined together in batches of at most SPARSE_BATCH_CELLS labels.
+  are refined together in batches of at most BATCH_CELLS labels.
   Cost: about 2^k s log s.
 
 Tolerances: "vanishes" always means abs(value) <= tol, never a signed test,
@@ -50,7 +55,7 @@ PROB_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 DENSE_MAX_CELLS = 1 << 20      # largest joint tensor of the dense path (8 MB)
 DENSE_RATIO = 16               # dense path while cells <= DENSE_RATIO * support rows
-SPARSE_BATCH_CELLS = 1 << 16   # labels refined by one numpy call on the sparse path
+BATCH_CELLS = 1 << 16          # star-table cells, or sparse labels, handled by one batch of numpy calls
 
 
 def _log_base(base) -> float:
@@ -202,12 +207,38 @@ def _columns(p: Distribution, mask: int) -> tuple[list[int], list[np.ndarray], l
     return kept, cols, counts[kept].tolist()
 
 
+def _star_entropies(t: np.ndarray, limit: int) -> np.ndarray:
+    """Entropies (natural log) of `t` with every subset of its first `limit`
+    axes summed out; entry i keeps the axes at the set bits of i.
+
+    The star table gives each of those axes one more slot, at index 0, holding
+    the sum over the axis; slots are filled in descending axis order, as the
+    walk drops axes, so every cell is the walk's marginal.  p log p is taken
+    once over all cells (a zero cell gives 0), the other axes are summed once,
+    and each star axis folds into (summed out, kept).
+    """
+    star = np.zeros(tuple(a + 1 for a in t.shape[:limit]) + t.shape[limit:])
+    star[(slice(1, None),) * limit] = t
+    for i in reversed(range(limit)):
+        lead = (slice(None),) * i
+        star[lead + (0,)] = star[lead + (slice(1, None),)].sum(axis=i)
+    logs = np.add(star, star == 0, out=np.empty_like(star))  # log 1 = 0 at the zero cells
+    star *= np.log(logs, out=logs)
+    x = star.reshape(star.shape[:limit] + (-1,)).sum(axis=-1) if limit < star.ndim else star  # else fold in place
+    for i in range(limit):
+        lead = (slice(None),) * i
+        x[lead + (1,)] = x[lead + (slice(1, None),)].sum(axis=i)
+        x = x[lead + (slice(2),)]
+    return -x.T.ravel()  # axis i to bit i
+
+
 def _dense_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
     """Entropies (natural log) of base | S for every S within the free columns.
 
     Builds the joint tensor with the free axes first, then walks the lattice
     depth-first, dropping free axes below the last one dropped, so that each
     set is reached once and each child marginal is one axis-sum of its parent.
+    A subtree whose star table fits BATCH_CELLS is finished by one batch.
     """
     cols = list(free_cols) + list(base_cols)
     shape = tuple(int(y.max()) + 1 for y in cols)
@@ -217,8 +248,11 @@ def _dense_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
     out = np.empty(1 << k)
 
     def walk(t: np.ndarray, limit: int, idx: int) -> None:
-        v = t[t > 0]
-        out[idx] = -(v @ np.log(v))
+        # the subtree's sets differ from idx only in bits below limit, all set in idx
+        if math.prod(a + 1 for a in t.shape[:limit]) * math.prod(t.shape[limit:]) <= BATCH_CELLS:
+            out[idx + 1 - (1 << limit) : idx + 1] = _star_entropies(t, limit)
+            return
+        out[idx] = _star_entropies(t, 0)[0]
         for i in range(limit):
             walk(t.sum(axis=i), i, idx ^ (1 << i))
 
@@ -251,7 +285,7 @@ def _sparse_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
     """Entropies (natural log) of base | S for every S within the free columns.
 
     Starts from the partition by the base columns, doubles a batch of label
-    rows breadth-first while it fits SPARSE_BATCH_CELLS, then refines that
+    rows breadth-first while it fits BATCH_CELLS, then refines that
     batch depth-first over the remaining free columns.
     """
     labels, ent = np.zeros((1, len(w)), dtype=np.intp), np.zeros(1)
@@ -259,7 +293,7 @@ def _sparse_walk(free_cols, base_cols, w: np.ndarray) -> np.ndarray:
         labels, ent = _refine(labels, y, w)
     k = len(free_cols)
     j = 0
-    while j < k and 2 * labels.size <= SPARSE_BATCH_CELLS:
+    while j < k and 2 * labels.size <= BATCH_CELLS:
         more, more_ent = _refine(labels, free_cols[j], w)
         labels, ent = np.concatenate([labels, more]), np.concatenate([ent, more_ent])
         j += 1
@@ -289,12 +323,23 @@ def _lattice_entropies(p: Distribution, base: int, free: int) -> np.ndarray:
         ent[0] = 0.0
     k = free.bit_count()
     if len(kept) < k:  # constant variables: S shares the entropy of its varying part
-        i = np.arange(1 << k)
-        varying = np.zeros(1 << k, dtype=np.intp)
+        weights = [0] * k
         for pos, j in enumerate(kept):
-            varying |= ((i >> j) & 1) << pos
-        ent = ent[varying]
+            weights[j] = 1 << pos
+        ent = ent[_bit_sums(weights)]
     return ent
+
+
+def _bit_sums(weights) -> np.ndarray:
+    """Entry i is the sum of weights[j] over the set bits j of i, as exact integers.
+
+    With weights 1 << t_j it sends bit j of an index to bit t_j, so one gather
+    through it moves a table between two bit layouts.
+    """
+    out = np.zeros(1, dtype=np.intp)
+    for w in weights:
+        out = np.concatenate([out, out + w])
+    return out
 
 
 def marginal_entropy(p: Distribution, on, base: float = 2.0) -> float:
@@ -643,19 +688,10 @@ def generate_mrf(g: Graph, seed: int, alphabet: int = 2) -> Distribution:
 
 def restrict_entropy(h: EntropyVector, keep) -> EntropyVector:
     """Entropy vector of a sub-collection, relabeled to 1..k in ascending order."""
-    kmask = as_mask(keep, h.n)
-    kept = verts_of(kmask)
-    k = len(kept)
-    if k == 0:
+    kept = verts_of(as_mask(keep, h.n))
+    if not kept:
         raise ValueError("cannot restrict to an empty collection")
-    table = np.zeros(1 << k)
-    for m in range(1, 1 << k):
-        orig = 0
-        for i in range(k):
-            if (m >> i) & 1:
-                orig |= 1 << (kept[i] - 1)
-        table[m] = h.table[orig]
-    return EntropyVector(k, h.base, table)
+    return EntropyVector(len(kept), h.base, h.table[_bit_sums([1 << (v - 1) for v in kept])])
 
 
 def prefix_relabel(keep) -> dict[int, int]:

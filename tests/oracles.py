@@ -157,6 +157,19 @@ def entropy_direct(probs: dict, coords, base: float = 2.0) -> float:
     return -sum(p * math.log(p, base) for p in marg.values() if p > 0)
 
 
+def restrict_entropy_by_loop(h, keep) -> np.ndarray:
+    """Entropy table of the variables `keep` (1-based), relabelled to 1..k in ascending order, set by set."""
+    kept = sorted(keep)
+    table = np.zeros(1 << len(kept))
+    for m in range(1, 1 << len(kept)):
+        orig = 0
+        for i, v in enumerate(kept):
+            if (m >> i) & 1:
+                orig |= 1 << (v - 1)
+        table[m] = h.table[orig]
+    return table
+
+
 def conditional_mi(probs: dict, a, b, c, base: float = 2.0) -> float:
     """I(X_a ; X_b | X_c) from joint entropies by definition."""
     a, b, c = set(a), set(b), set(c)

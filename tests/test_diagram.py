@@ -3,6 +3,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -308,17 +309,46 @@ def test_plan_emitter_matches_the_json_encoder(g):
 
 
 def test_plan_emitter_on_parsed_plans_the_builder_never_makes():
-    d = json.loads(export_plan(build_plan(Graph.path(3))))
-    d["sequence"][0]["vertices"] = []  # a graph whose vertex set is not 1..n
+    # such plans come only from the constructor: from_json rejects them
+    built = build_plan(Graph.path(3))
+    sequence = (Graph(1, [], vertices=[]), Graph(2, [], vertices=[2]), built.sequence[2])
+    no_atom = np.full(1, -1, dtype=np.int8).tobytes()  # a stage that names no atom
+    plan = DiagramPlan(3, sequence, (no_atom, built.codes[1]), AtomSet(3))
+    d = json.loads(export_plan(built))
+    d["sequence"][0]["vertices"] = []  # graphs whose vertex set is not 1..n
     d["sequence"][1]["vertices"] = [2]
     d["sequence"][1]["edges"] = []
-    d["steps"][0]["actions"] = []  # a stage that names no atom
+    d["steps"][0]["actions"] = []
     d["final_type1"] = []
-    plan = DiagramPlan.from_json(d)
     assert plan.steps[0] == {} and len(plan.final_type1) == 0
     assert export_plan(plan) == dumps_plan(plan)
     assert plan.to_json() == json_by_atoms(plan) == d
     assert export_plan(plan, "text") == text_by_atoms(plan)
+    with pytest.raises(ValueError, match="stage 1 differs"):
+        DiagramPlan.from_json(d)
+
+
+def plan_with(g: Graph, edit) -> dict:
+    d = json.loads(export_plan(build_plan(g)))
+    edit(d)
+    return d
+
+
+def test_parsed_plan_must_be_the_plan_of_its_last_graph():
+    star, path = Graph(4, [(1, 4), (2, 4), (3, 4)]), Graph.path(4)
+    assert DiagramPlan.from_json(plan_with(star, lambda d: None)) == build_plan(star)
+    for g, edit, message in (
+        (star, lambda d: d["sequence"][1].update(n=3), "stage 2 differs"),
+        (star, lambda d: d["sequence"][2].update(edges=[[1, 2]], vertices=[1, 2]), "stage 3 differs"),
+        (star, lambda d: d["sequence"][3].update(edges=[[1, 4], [2, 4]], vertices=[1, 2, 4]),
+         "sequence graph 4 must be a graph on 1..4"),
+        # atom 1 2' 3 of the path 1-2-3 is cut by its complemented vertex
+        (path, lambda d: d["steps"][2]["actions"].append({"atom": "1 2' 3", "action": "split"}), "stage 4 differs"),
+        (star, lambda d: d.update(final_type1=[]), "field 'final_type1' differs"),
+    ):
+        with pytest.raises(ValueError, match=message) as err:
+            DiagramPlan.from_json(plan_with(g, edit))
+        assert "\n" not in str(err.value)
 
 
 def test_plan_codes_are_the_stage_actions():

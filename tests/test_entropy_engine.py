@@ -2,7 +2,11 @@
 
 Both private paths (dense tensor walk and sparse partition refinement) are
 called directly on the same distributions, so each is checked whichever one
-the density rule would pick.
+the density rule would pick.  Each check runs at three batch budgets: 1, so
+that the dense walk reaches every set itself and the sparse path never
+batches; a middle budget, so that the dense walk hands subtrees inside the
+lattice to star batches; and the default, under which small fields are one
+batch from the root.
 """
 
 import itertools
@@ -77,6 +81,25 @@ def walk_interval(walk, p: Distribution, base: int, free: int) -> np.ndarray:
     return varying[index]
 
 
+BUDGETS = (1, 64, measures.BATCH_CELLS)
+
+
+def check_interval(p: Distribution, probs, base: int, free: int) -> None:
+    """Both paths and the engine against the oracle on one interval, at every budget."""
+    want = interval_oracle(probs, base, free)
+    if base == 0:
+        want[0] = 0.0
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "BATCH_CELLS", budget)
+            for walk in (measures._dense_walk, measures._sparse_walk):
+                got = walk_interval(walk, p, base, free)
+                if base == 0:
+                    got[0] = 0.0
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (walk.__name__, budget)
+            assert np.allclose(measures._lattice_entropies(p, base, free), want, rtol=0, atol=1e-12), budget
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=distributions(), split=st.integers(min_value=0, max_value=3**6 - 1))
 def test_both_paths_match_direct_entropies(case, split):
@@ -87,15 +110,7 @@ def test_both_paths_match_direct_entropies(case, split):
     base = sum(1 << i for i, d in enumerate(digits) if d == 1)
     free = sum(1 << i for i, d in enumerate(digits) if d == 2)
     for b, f in ((0, full), (base, free)):
-        want = interval_oracle(probs, b, f)
-        if b == 0:
-            want[0] = 0.0
-        for walk in (measures._dense_walk, measures._sparse_walk):
-            got = walk_interval(walk, p, b, f)
-            if b == 0:
-                got[0] = 0.0
-            assert np.allclose(got, want, rtol=0, atol=1e-12), walk.__name__
-        assert np.allclose(measures._lattice_entropies(p, b, f), want, rtol=0, atol=1e-12)
+        check_interval(p, probs, b, f)
     h = entropy_vector(p, 2.0)
     for m in range(1, full + 1):
         coords = [i + 1 for i in range(p.n) if (m >> i) & 1]
@@ -105,6 +120,66 @@ def test_both_paths_match_direct_entropies(case, split):
     mu = mu_from_entropy(h)
     for a, v in mu.atoms():
         assert abs(atom_measure_from_distribution(p, a, 2.0) - v) <= 1e-12
+
+
+def masks(*groups) -> list[int]:
+    return [sum(1 << (v - 1) for v in g) for g in groups]
+
+
+def blocks(n: int, sources) -> dict:
+    """Independent sources, each copied onto its own variables: [(variables, probabilities)]."""
+    probs = {}
+    for choice in itertools.product(*(range(len(q)) for _, q in sources)):
+        x = [0] * n
+        w = 1.0
+        for (vs, q), z in zip(sources, choice):
+            for v in vs:
+                x[v - 1] = z
+            w *= q[z]
+        probs[tuple(x)] = w
+    return probs
+
+
+# two ternary blocks make 9 rows; variables 6, 7 and 8 are constant
+TERNARY_BLOCKS = blocks(8, [((1, 2, 3), (0.2, 0.3, 0.5)), ((4, 5), (0.6, 0.1, 0.3))])
+
+# (n, alphabets, probabilities, base variables, free variables): the shapes
+# of the single-atom queries of sparse witnesses, and the degenerate edges
+INTERVALS = {
+    "two ternary blocks, 3 varying base columns": (8, [3] * 5 + [1] * 3, TERNARY_BLOCKS, (1, 2, 4, 7), (3, 5, 6, 8)),
+    "two ternary blocks, everything free": (8, [3] * 5 + [1] * 3, TERNARY_BLOCKS, (), (1, 2, 3, 4, 5, 6, 7, 8)),
+    # fair bits z, t on leaves 1, 2, z xor t on leaf 4, hub 3 = 2z + t, constant 5 and 6
+    "parity star, hub in the base": (
+        6, [2, 2, 4, 2, 1, 1],
+        {(z, t, 2 * z + t, z ^ t, 0, 0): 0.25 for z in (0, 1) for t in (0, 1)},
+        (3, 5), (1, 2, 4, 6)),
+    "plain variable constant on the support": (
+        4, [2, 3, 2, 2], {(0, 1, 0, 1): 0.5, (1, 1, 1, 1): 0.25, (1, 1, 0, 1): 0.25},
+        (4,), (1, 2, 3)),
+    "no varying free column": (
+        4, [2, 3, 2, 2], {(0, 1, 0, 1): 0.5, (1, 2, 0, 1): 0.5},
+        (1, 2), (3, 4)),
+    "single support row": (
+        3, [2, 3, 2], {(1, 2, 0): 1.0},
+        (2,), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", INTERVALS)
+def test_intervals_of_witness_shapes(name):
+    n, alphabets, probs, base, free = INTERVALS[name]
+    p = Distribution(n, alphabets, probs)
+    b, f = masks(base, free)
+    check_interval(p, probs, b, f)
+    check_interval(p, probs, 0, f)
+    check_interval(p, probs, 0, (1 << n) - 1)
+
+
+def test_star_batch_has_no_zero_cell_nan():
+    # zero cells of the joint and of the star table must add 0, not NaN
+    t = np.array([[0.5, 0.0], [0.0, 0.5]])
+    got = measures._star_entropies(t, 2)
+    assert np.allclose(got, [0.0, math.log(2), math.log(2), math.log(2)], rtol=0, atol=1e-15)
 
 
 def test_density_rule_picks_each_path(monkeypatch):

@@ -30,6 +30,7 @@ from imeasure import (
     mu_from_entropy,
     nonnegativity_report,
     reduce_atom,
+    restrict_entropy,
     star_xor_witness,
     type_of_atom,
     vanishing_atoms,
@@ -42,6 +43,7 @@ from oracles import (
     mu_by_linear_solve,
     mutual_independence_holds,
     random_distribution,
+    restrict_entropy_by_loop,
 )
 
 
@@ -668,3 +670,16 @@ def test_table_paths_match_per_atom_definitions():
         values = mu.to_json()["values"]
         assert list(values) == [Atom(n, c).to_text() for c in range((1 << n) - 1)]
         assert list(values.values()) == [float(v) for v in mu.table[:-1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10), data=st.data())
+def test_restrict_entropy_gathers_the_loop_bit_for_bit(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table = rng.normal(size=1 << n)
+    table[rng.random(1 << n) < 0.2] = -0.0  # signed zeros must survive too
+    h = EntropyVector(n, 2.0, table)
+    keep = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1, unique=True))
+    got = restrict_entropy(h, keep)
+    assert (got.n, got.base) == (len(keep), 2.0)
+    assert got.table.tobytes() == restrict_entropy_by_loop(h, keep).tobytes()
