@@ -6,144 +6,44 @@ graphs, builds the boundary graph representing any sub-collection of the
 variables, tests when tree structure survives restriction, generates the
 standard witness distributions, and emits recursive construction plans for
 customized information diagrams.
+
+Names resolve lazily (PEP 562): `import imeasure` loads no submodule, and the
+first use of a public name or a submodule name imports the module behind it.
 """
 
-from .atoms import (
-    Atom,
-    AtomSet,
-    AtomType,
-    FCMI,
-    NotAnFcmiImage,
-    all_atoms,
-    image_of_collection,
-    image_of_fcmi,
-    image_of_graph,
-    image_of_partial,
-    implies,
-    recover_fcmi,
-    recover_graph,
-    type_of_atom,
-)
-from .diagram import (
-    Action,
-    DiagramPlan,
-    build_plan,
-    classify_atom,
-    elimination_sequence,
-    export_plan,
-    parse_plan,
-)
-from .graphs import Graph, ShapeLabel, classify_shape, clique_edges, maximal_cliques
-from .measures import (
-    ChainInequalityCheck,
-    Distribution,
-    EntropyVector,
-    IMeasureVector,
-    MrfCheck,
-    NonnegativityReport,
-    Reduction,
-    atom_measure_from_distribution,
-    chain_inequality_valid,
-    check_mrf,
-    entropy_from_mu,
-    entropy_vector,
-    fcmi_holds,
-    generate_mrf,
-    marginal_entropy,
-    measure_from_distribution,
-    measure_of_expression,
-    measure_of_groups,
-    mu_from_entropy,
-    nonnegativity_report,
-    prefix_relabel,
-    reduce_atom,
-    restrict_entropy,
-    vanishing_atoms,
-    verify_reduction,
-)
-from .subfield import (
-    SmallestRepResult,
-    SubfieldResult,
-    SubtreeCheck,
-    boundary_set,
-    cutset_lift,
-    equals_induced,
-    g_star_closed_form,
-    minimality_witness,
-    smallest_graph,
-    subfield_graph,
-    subtree_condition,
-)
-from .witnesses import FieldSpec, atom_concentrator, ring_field_witness, source_entropy, star_xor_witness
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "Atom",
-    "AtomSet",
-    "AtomType",
-    "ChainInequalityCheck",
-    "DiagramPlan",
-    "Distribution",
-    "EntropyVector",
-    "FCMI",
-    "FieldSpec",
-    "Graph",
-    "IMeasureVector",
-    "MrfCheck",
-    "NonnegativityReport",
-    "NotAnFcmiImage",
-    "Reduction",
-    "ShapeLabel",
-    "SmallestRepResult",
-    "SubfieldResult",
-    "SubtreeCheck",
-    "all_atoms",
-    "atom_concentrator",
-    "atom_measure_from_distribution",
-    "boundary_set",
-    "build_plan",
-    "chain_inequality_valid",
-    "check_mrf",
-    "classify_atom",
-    "classify_shape",
-    "clique_edges",
-    "cutset_lift",
-    "elimination_sequence",
-    "entropy_from_mu",
-    "entropy_vector",
-    "equals_induced",
-    "export_plan",
-    "fcmi_holds",
-    "g_star_closed_form",
-    "generate_mrf",
-    "image_of_collection",
-    "image_of_fcmi",
-    "image_of_graph",
-    "image_of_partial",
-    "implies",
-    "marginal_entropy",
-    "maximal_cliques",
-    "measure_from_distribution",
-    "measure_of_expression",
-    "measure_of_groups",
-    "minimality_witness",
-    "mu_from_entropy",
-    "nonnegativity_report",
-    "parse_plan",
-    "prefix_relabel",
-    "recover_fcmi",
-    "recover_graph",
-    "reduce_atom",
-    "restrict_entropy",
-    "ring_field_witness",
-    "smallest_graph",
-    "source_entropy",
-    "star_xor_witness",
-    "subfield_graph",
-    "subtree_condition",
-    "type_of_atom",
-    "vanishing_atoms",
-    "verify_reduction",
-]
+# module -> the public names it defines
+_NAMES = {
+    "atoms": """Atom AtomSet AtomType FCMI NotAnFcmiImage all_atoms image_of_collection image_of_fcmi
+        image_of_graph image_of_partial implies recover_fcmi recover_graph type_of_atom""",
+    "diagram": "Action DiagramPlan build_plan classify_atom elimination_sequence export_plan parse_plan",
+    "graphs": "Graph ShapeLabel classify_shape clique_edges maximal_cliques",
+    "measures": """ChainInequalityCheck Distribution EntropyVector IMeasureVector MrfCheck NonnegativityReport
+        Reduction atom_measure_from_distribution chain_inequality_valid check_mrf entropy_from_mu entropy_vector
+        fcmi_holds generate_mrf marginal_entropy measure_from_distribution measure_of_expression measure_of_groups
+        mu_from_entropy nonnegativity_report prefix_relabel reduce_atom restrict_entropy vanishing_atoms
+        verify_reduction""",
+    "subfield": """SmallestRepResult SubfieldResult SubtreeCheck boundary_set cutset_lift equals_induced
+        g_star_closed_form minimality_witness smallest_graph subfield_graph subtree_condition""",
+    "witnesses": "FieldSpec atom_concentrator ring_field_witness source_entropy star_xor_witness",
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
+_SUBMODULES = frozenset(_NAMES) | {"_bits", "_intake", "cli"}  # not __main__, which runs the CLI
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # not cached: a name rebound in its defining module (by a patch or a tracer) reads the same here
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:  # importing a submodule also binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -8,10 +8,12 @@ import itertools
 import json
 import math
 import reprlib
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._bits import as_mask, check_var_count
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy as np
 
 show = reprlib.repr  # bounded depth and length: a message never recurses or grows with its input
 
@@ -75,22 +77,24 @@ def vertex_mask(values, n: int, what: str) -> int:
     """Mask of a JSON vertex list, each an int (not a bool or a float) in 1..n."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of vertices, got {show(values)}")
-    return int(vertex_lists([values], n, what)[0])
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} holds {show(v)}, not an integer vertex")
+    return as_mask(values, n)
 
 
 def vertex_lists(rows, n: int, what: str, each=None) -> np.ndarray:
     """Masks of a JSON list of vertex lists, read in bulk.  On a fault the
     lists are read one by one, each mask passed to `each`, so the first
     faulty list decides the message."""
+    import numpy as np
+
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError(f"{what} must be a list of vertex lists")
     flat = list(itertools.chain.from_iterable(rows))
     if not set(map(type, flat)) <= {int} or (flat and not 1 <= min(flat) <= max(flat) <= n):
         for r in rows:
-            for v in r:
-                if type(v) is not int:
-                    raise ValueError(f"{what} holds {show(v)}, not an integer vertex")
-            m = as_mask(r, n)
+            m = vertex_mask(r, n, what)
             if each is not None:
                 each(m)
     hit = np.zeros((len(rows), n), dtype=bool)
@@ -119,6 +123,8 @@ def lattice_table(d, what: str, field: str, noun: str, masks_of, cap: int) -> tu
     """`n`, `base` and the 2^n-entry table of an entropy or measure JSON, whose
     `field` maps a key for every subset or atom (`masks_of` reads the keys) to
     its value; each must be named exactly once."""
+    import numpy as np
+
     n, base, values = fields(d, f"{what} JSON", "n", "base", field)
     n = var_count(n, cap)
     keys = list(expect(values, dict, f"{what} JSON field {field!r}"))
@@ -145,6 +151,8 @@ def finite(value, what: str, low: float, above: bool = False) -> float:
 
 def check_finite(table: np.ndarray, what: str, where) -> None:
     """Reject a table holding NaN or an infinity; `where(i)` places entry i."""
+    import numpy as np
+
     bad = ~np.isfinite(table)
     if bad.any():
         i = int(bad.argmax())
@@ -153,6 +161,8 @@ def check_finite(table: np.ndarray, what: str, where) -> None:
 
 def numbers(values: list, what: str, where) -> np.ndarray:
     """Finite JSON numbers (ints or floats, not bools or strings) as a float array."""
+    import numpy as np
+
     if not set(map(type, values)) <= {int, float}:
         i, v = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
         try:  # a string such as "NaN" names a non-finite value: say so

@@ -16,13 +16,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _intake as intake
 from ._bits import as_mask, check_var_count, iter_bits, submasks, verts_of
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy as np
 
 PIECE_VARS = 8  # variables per label piece
 
@@ -255,6 +256,8 @@ class AtomSet:
     @classmethod
     def from_flags(cls, n: int, flags: np.ndarray) -> "AtomSet":
         """The atoms c with flags[c] true, from a bool vector over the 2^n - 1 complemented masks."""
+        import numpy as np
+
         check_var_count(n, MAX_ATOM_VARS)
         if flags.shape != ((1 << n) - 1,):
             raise ValueError(f"atom flags must have 2^{n} - 1 entries")
@@ -262,12 +265,16 @@ class AtomSet:
 
     def flags(self) -> np.ndarray:
         """Bool vector over the 2^n - 1 complemented masks; inverse of from_flags."""
+        import numpy as np
+
         size = (1 << self.n) - 1
         raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
     def cmasks(self) -> list[int]:
         """Complemented masks of the members, ascending."""
+        import numpy as np
+
         return np.flatnonzero(self.flags()).tolist()
 
     def __contains__(self, a: Atom) -> bool:
@@ -316,6 +323,8 @@ class AtomSet:
     def from_json(cls, d: dict) -> "AtomSet":
         """Read {"n", "atoms"}, each atom a list of its complemented vertices
         in any order, repeats allowed; an atom may be listed more than once."""
+        import numpy as np
+
         n, rows = intake.fields(d, "atom set JSON", "n", "atoms")
         n = intake.var_count(n, MAX_ATOM_VARS)
         full = (1 << n) - 1

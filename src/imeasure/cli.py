@@ -6,7 +6,8 @@ shell reports for SIGPIPE) when stdout is closed before the payload is
 written, with nothing on stderr.  Payloads go to stdout, diagnostics to
 stderr, and all output is byte-deterministic for fixed inputs.  Every input,
 JSON file or flag, is read by the rules listed under "Input rules" in
-README.md; a broken one exits 2 with one line on stderr.
+README.md; a broken one exits 2 with one line on stderr.  Each subcommand
+imports what it uses when it runs, so a call loads only the modules it needs.
 """
 
 from __future__ import annotations
@@ -17,21 +18,7 @@ import os
 import sys
 
 from . import _intake as intake
-from . import diagram as diagram_mod
-from . import subfield as subfield_mod
-from .atoms import AtomSet, FCMI, NotAnFcmiImage, atom_texts, image_of_fcmi, image_of_graph, implies as _implies
-from .atoms import recover_fcmi, recover_graph
 from .graphs import Graph
-from .measures import (
-    Distribution,
-    EntropyVector,
-    check_mrf,
-    entropy_vector,
-    measure_from_distribution,
-    mu_from_entropy,
-    vanishing_atoms,
-)
-from .witnesses import FieldSpec, atom_concentrator, ring_field_witness, star_xor_witness
 
 
 def _emit(payload) -> None:
@@ -51,6 +38,8 @@ def _either(args, a: str, b: str) -> bool:
 
 
 def _mu_from_args(args) -> "tuple":
+    from .measures import Distribution, EntropyVector, measure_from_distribution, mu_from_entropy
+
     if _either(args, "dist", "entropy"):
         dist = Distribution.from_json(intake.load(args.dist))
         return measure_from_distribution(dist, args.base), dist
@@ -61,6 +50,8 @@ def _mu_from_args(args) -> "tuple":
 
 
 def cmd_entropy(args) -> int:
+    from .measures import Distribution, entropy_vector
+
     dist = Distribution.from_json(intake.load(args.dist))
     _emit(entropy_vector(dist, args.base).to_json())
     return 0
@@ -76,6 +67,9 @@ def cmd_mu(args) -> int:
 
 
 def cmd_check_mrf(args) -> int:
+    from .atoms import atom_texts
+    from .measures import check_mrf
+
     mu, _ = _mu_from_args(args)
     g = Graph.from_json(intake.load(args.graph))
     res = check_mrf(mu, g, args.tol)
@@ -90,6 +84,8 @@ def cmd_check_mrf(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from .atoms import FCMI, image_of_fcmi, image_of_graph
+
     if _either(args, "graph", "fcmi"):
         img = image_of_graph(Graph.from_json(intake.load(args.graph)))
     else:
@@ -99,6 +95,8 @@ def cmd_image(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from .atoms import AtomSet, NotAnFcmiImage, recover_fcmi, recover_graph
+
     img = AtomSet.from_json(intake.load(args.atoms))
     if args.target == "graph":
         _emit(recover_graph(img).to_json())
@@ -113,6 +111,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_subfield(args) -> int:
+    from .subfield import subfield_graph
+
     if args.input:
         gd, keep = intake.fields(intake.load(args.input), "subfield JSON", "graph", "V_prime")
         g = Graph.from_json(gd)
@@ -122,7 +122,7 @@ def cmd_subfield(args) -> int:
             raise ValueError("supply --graph and --vp, or --input")
         g = Graph.from_json(intake.load(args.graph))
         keep = intake.int_list(args.vp, "vertex list")
-    res = subfield_mod.subfield_graph(g, keep)
+    res = subfield_graph(g, keep)
     if args.format == "dot":
         _emit(res.g_star.to_dot(name="g_star"))
         return 0
@@ -137,20 +137,27 @@ def cmd_subfield(args) -> int:
 
 
 def cmd_smallest(args) -> int:
+    from .atoms import AtomSet
+    from .subfield import smallest_graph
+
     intake.finite(args.tol, "tolerance", 0)
     if _either(args, "atoms", "dist"):
         van = AtomSet.from_json(intake.load(args.atoms))
     else:
+        from .measures import Distribution, measure_from_distribution, vanishing_atoms
+
         dist = Distribution.from_json(intake.load(args.dist))
         van = vanishing_atoms(measure_from_distribution(dist, args.base), args.tol)
-    res = subfield_mod.smallest_graph(van)
+    res = smallest_graph(van)
     _emit(res.to_json())
     return 0 if res.exists else 1
 
 
 def cmd_subtree(args) -> int:
+    from .subfield import subtree_condition
+
     g = Graph.from_json(intake.load(args.graph))
-    res = subfield_mod.subtree_condition(g, intake.int_list(args.vp, "vertex list"))
+    res = subtree_condition(g, intake.int_list(args.vp, "vertex list"))
     payload = {"is_subtree": res.is_subtree}
     if not res.is_subtree:
         payload["witness"] = {
@@ -162,11 +169,13 @@ def cmd_subtree(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from .diagram import build_plan, export_plan
+
     if args.action != "plan":
         raise ValueError(f"unknown diagram action {args.action!r}")
     g = Graph.from_json(intake.load(args.graph))
-    plan = diagram_mod.build_plan(g)
-    _emit(diagram_mod.export_plan(plan, args.format))
+    plan = build_plan(g)
+    _emit(export_plan(plan, args.format))
     return 0
 
 
@@ -177,6 +186,8 @@ def _need(args, *names):
 
 
 def cmd_witness(args) -> int:
+    from .witnesses import FieldSpec, atom_concentrator, ring_field_witness, star_xor_witness
+
     if args.kind == "star":
         _need(args, "graph", "hub", "leaves")
         g = Graph.from_json(intake.load(args.graph))
@@ -192,8 +203,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_implies(args) -> int:
+    from .atoms import FCMI, implies
+
     pi1, pi2 = (intake.expect(intake.load(p), list, "independency list JSON") for p in (args.pi1, args.pi2))
-    verdict = _implies([FCMI.from_json(d) for d in pi1], [FCMI.from_json(d) for d in pi2])
+    verdict = implies([FCMI.from_json(d) for d in pi1], [FCMI.from_json(d) for d in pi2])
     _emit({"implies": verdict})
     return 0 if verdict else 1
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 from enum import Enum
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from . import _intake as intake
 from ._bits import as_mask, iter_bits, verts_of
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy as np
 
 MAX_VERTICES = 24
 MAX_ATOM_VARS = 16  # tables over all 2^n vertex sets; atom enumeration shares the cap
@@ -169,6 +170,8 @@ class Graph:
         then spread rounds from the lowest remaining vertex of every U at once.
         """
         if self._ctable is None:
+            import numpy as np
+
             if self.n > MAX_ATOM_VARS:
                 raise ValueError(f"connectivity tables support up to {MAX_ATOM_VARS} vertices, got {self.n}")
             nu = np.zeros(1 << self.n, dtype=np.int32)

@@ -15,12 +15,14 @@ smallest-graph pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ._bits import as_mask, iter_bits, verts_of
-from .atoms import AtomSet, image_of_graph, recover_graph
 from .graphs import Graph, clique_edges
-from .measures import Distribution
-from .witnesses import atom_concentrator
+
+if TYPE_CHECKING:  # the atom and measure modules are imported by the functions that use them
+    from .atoms import AtomSet
+    from .measures import Distribution
 
 
 def _keep_mask(g: Graph, keep) -> int:
@@ -38,19 +40,21 @@ def _dropped_components(g: Graph, kmask: int) -> list[tuple[int, int]]:
     return [(c, g.neighbor_mask(c)) for c in g.component_masks(kmask)]
 
 
-def g_star_closed_form(g: Graph, keep) -> Graph:
-    """Boundary graph in closed form.
-
-    Induced edges, plus a clique on the kept neighbors of every dropped
-    component.
-    """
-    kmask = _keep_mask(g, keep)
+def _star_edges(g: Graph, kmask: int) -> set[tuple[int, int]]:
+    """Edges of the boundary graph in closed form: the induced edges, plus a
+    clique on the kept neighbors of every dropped component."""
     edges = set(
         (u, v) for u, v in g.edges if (kmask >> (u - 1)) & 1 and (kmask >> (v - 1)) & 1
     )
     for _, nb in _dropped_components(g, kmask):
         edges |= clique_edges(nb)
-    return Graph(g.n, edges, vertices=kmask)
+    return edges
+
+
+def g_star_closed_form(g: Graph, keep) -> Graph:
+    """Boundary graph in closed form (see `_star_edges`)."""
+    kmask = _keep_mask(g, keep)
+    return Graph(g.n, _star_edges(g, kmask), vertices=kmask)
 
 
 def boundary_set(g: Graph, keep) -> frozenset[int]:
@@ -75,12 +79,9 @@ def subfield_graph(g: Graph, keep) -> SubfieldResult:
 
 
 def equals_induced(g: Graph, keep) -> bool:
-    """Whether the boundary graph adds nothing over the induced subgraph.
-
-    That holds iff every dropped component's neighborhood, which the closed
-    form cliques, is already a clique.
-    """
-    return all(clique_edges(nb) <= g.edges for _, nb in _dropped_components(g, _keep_mask(g, keep)))
+    """Whether the boundary graph adds nothing over the induced subgraph, by
+    the rule of `subfield_graph`."""
+    return _star_edges(g, _keep_mask(g, keep)) <= g.edges
 
 
 def cutset_lift(g: Graph, keep, t) -> bool:
@@ -138,6 +139,8 @@ def smallest_graph(vanishing: AtomSet) -> SmallestRepResult:
     image stays inside the vanishing set; otherwise the leftover atoms witness
     that no smallest representation exists.
     """
+    from .atoms import image_of_graph, recover_graph
+
     g_hat = recover_graph(vanishing)
     img = image_of_graph(g_hat)
     missing = img - vanishing
@@ -176,6 +179,8 @@ def minimality_witness(g: Graph, keep, edge: tuple[int, int]) -> Distribution:
     rest of the kept set, so any graph representing the sub-collection must
     join them.
     """
+    from .witnesses import atom_concentrator
+
     kmask = _keep_mask(g, keep)
     u, v = edge
     gs = g_star_closed_form(g, kmask)

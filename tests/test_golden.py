@@ -9,7 +9,8 @@ The cases cover every subcommand on every fixture it applies to, the calls
 that perfbench's `cli_fixtures` workload builds for seed 1 (with its generated
 inputs under `golden/cli_fixtures/`), every `NotAnFcmiImage` reason, and
 `smallest` with no smallest representation.  Inputs derived from fixtures
-(entropy vectors, images) sit under `golden/inputs/`.
+(entropy vectors, images) sit under `golden/inputs/`; recording writes one
+only when its file is missing (delete it to derive it again).
 
 Record only on a tree whose outputs are known good, from the repo root:
 
@@ -180,6 +181,13 @@ def _write_input(name: str, obj) -> None:
     (GOLDEN / "inputs" / name).write_text(json.dumps(obj))
 
 
+def _derive_input(name: str, argv) -> None:
+    """Write the payload of `argv` as an input, once: an existing derived input
+    stays a fixed test input, so re-recording moves only expected outputs."""
+    if not (GOLDEN / "inputs" / name).exists():
+        _write_input(name, json.loads(_run(argv)[1]))
+
+
 def record() -> None:
     os.chdir(ROOT)
     (GOLDEN / "inputs").mkdir(parents=True, exist_ok=True)
@@ -187,11 +195,11 @@ def record() -> None:
     for name, obj in STATIC_INPUTS.items():
         _write_input(name, obj)
     for d, base in DISTS.items():
-        _write_input(f"h_{d}.json", json.loads(_run(["entropy", "--dist", _fx(d), "--base", base])[1]))
+        _derive_input(f"h_{d}.json", ["entropy", "--dist", _fx(d), "--base", base])
     for g in GRAPHS:
-        _write_input(f"img_{g}.json", json.loads(_run(["image", "--graph", _fx(g)])[1]))
+        _derive_input(f"img_{g}.json", ["image", "--graph", _fx(g)])
     for k in ("fcmi_mutual3", "fcmi_given3", "fcmi_blocks6"):
-        _write_input(f"img_{k}.json", json.loads(_run(["image", "--fcmi", _inp(f"{k}.json")])[1]))
+        _derive_input(f"img_{k}.json", ["image", "--fcmi", _inp(f"{k}.json")])
     cases = []
     for name, argv in _fixture_cases() + _cli_fixture_cases():
         code, out = _run(argv)
