@@ -31,7 +31,7 @@ _NAMES = {
     "witnesses": "FieldSpec atom_concentrator ring_field_witness source_entropy star_xor_witness",
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
-_SUBMODULES = frozenset(_NAMES) | {"_bits", "_intake", "cli"}  # not __main__, which runs the CLI
+_SUBMODULES = frozenset(_NAMES) | {"_bits", "_intake", "_labels", "cli"}  # not __main__, which runs the CLI
 
 __all__ = sorted(_HOME)
 

@@ -1,6 +1,6 @@
-"""Reading JSON inputs: every `from_json` and every CLI input reads through here,
-by the rules under "Input rules" in README.md.  A fault raises ValueError with a
-one-line message, which the CLI turns into exit 2."""
+"""Reading JSON inputs: every `from_json` and every CLI input reads through here
+(subset keys and atom texts through `_labels`), by the rules under "Input rules"
+in README.md.  A fault raises ValueError with a one-line message: CLI exit 2."""
 
 from __future__ import annotations
 
@@ -102,23 +102,6 @@ def vertex_lists(rows, n: int, what: str, each=None) -> np.ndarray:
     return hit @ (1 << np.arange(n))
 
 
-def subset_masks(keys: list, n: int, what: str) -> list[int]:
-    """Masks of subset keys such as "1,3", each vertex in 1..n."""
-    masks = []
-    for key in keys:
-        m = 0
-        for t in key.split(","):
-            try:
-                v = int(t)
-            except ValueError:
-                raise ValueError(f"{what} key {show(key)} is not a comma-separated vertex list") from None
-            if not 1 <= v <= n:  # checked before the shift: a huge v would allocate a huge mask
-                raise ValueError(f"{what} key {show(key)} names vertex {v} outside 1..{n}")
-            m |= 1 << (v - 1)
-        masks.append(m)
-    return masks
-
-
 def lattice_table(d, what: str, field: str, noun: str, masks_of, cap: int) -> tuple[int, float, np.ndarray]:
     """`n`, `base` and the 2^n-entry table of an entropy or measure JSON, whose
     `field` maps a key for every subset or atom (`masks_of` reads the keys) to
@@ -177,22 +160,3 @@ def numbers(values: list, what: str, where) -> np.ndarray:
     check_finite(table, what, where)
     return table
 
-
-def atom_cmasks(texts: list, n: int, what: str) -> list[int]:
-    """Complemented masks of atom texts over 1..n, with the verdicts of
-    `Atom.from_text`.  Texts in the library's own form ("1 2' 3") are read in
-    bulk: split before " 9", each is the label of a low and a high piece (see
-    `atoms.atom_texts`), whose masks come from two cached dicts.  When a text
-    is in another form every text goes through `Atom.from_text`."""
-    from .atoms import PIECE_VARS, Atom, _label_masks  # atoms reads its JSON through this module
-
-    expect(texts, list, what)
-    low, high = _label_masks(n)
-    try:
-        parts = (str.partition(t, f" {PIECE_VARS + 1}") for t in texts)
-        cmasks = [low[a] | high[s + b] << PIECE_VARS for a, s, b in parts]
-    except (TypeError, KeyError):  # not a string, or not in the library's form
-        cmasks = None
-    if cmasks is not None and max(cmasks, default=0) < (1 << n) - 1:
-        return cmasks
-    return [Atom.from_text(t, n).complemented for t in texts]

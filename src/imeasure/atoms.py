@@ -6,8 +6,7 @@ atom with everything complemented is empty and excluded, so there are 2^n - 1
 atoms.  Independency statements and graphs both project to sets of atoms
 ("images"); this module computes those images and recovers the originating
 statement or graph from them.
-Atom sets convert to numpy flag vectors and back (`AtomSet.flags`), and
-serialisers label atoms from small cached pieces (`atom_texts`).
+Atom sets convert to numpy flag vectors and back (`AtomSet.flags`).
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _intake as intake
 from ._bits import as_mask, check_var_count, iter_bits, submasks, verts_of
+from ._labels import atom_complements, atom_mask, atom_texts, barred
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
 
 if TYPE_CHECKING:  # numpy is imported where an array is built
     import numpy as np
-
-PIECE_VARS = 8  # variables per label piece
-
-BAR = chr(0x0304)  # combining macron, rendered over the preceding digit
 
 
 class NotAnFcmiImage(ValueError):
@@ -75,81 +71,25 @@ class Atom:
         return self.n - self.complemented.bit_count()
 
     def __str__(self):
-        return self.to_text().replace("'", BAR)
+        return barred(self.to_text())
 
     def to_text(self) -> str:
         """ASCII rendering: complemented variables carry a trailing apostrophe."""
-        return " ".join(
-            f"{i}'" if (self.complemented >> (i - 1)) & 1 else str(i)
-            for i in range(1, self.n + 1)
-        )
+        return atom_texts(self.n, [self.complemented])[0]
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "Atom":
         """Parse "1 2' 3" (apostrophe) or the macron form produced by str()."""
-        if not isinstance(text, str):
-            raise ValueError(f"atom text must be a string, got {intake.show(text)}")
-        comp = []
-        seen = []
-        for tok in text.split():
-            flagged = tok.endswith("'") or tok.endswith(BAR)
-            digits = tok.rstrip("'" + BAR)
-            if not digits.isdigit():
-                raise ValueError(f"bad atom token {tok!r}")
-            v = int(digits)
-            seen.append(v)
-            if flagged:
-                comp.append(v)
-        nn = n if n is not None else max(seen, default=0)
-        if sorted(seen) != list(range(1, nn + 1)):
-            raise ValueError(f"atom text {text!r} must list each variable 1..{nn} once")
-        return cls.of(nn, comp)
+        return cls(*atom_mask(text, n))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "complemented": sorted(self.complemented_set)}
+        return {"n": self.n, "complemented": atom_complements(self.n, [self.complemented])[0]}
 
     @classmethod
     def from_json(cls, d: dict) -> "Atom":
         n, comp = intake.fields(d, "atom JSON", "n", "complemented")
         n = intake.var_count(n, MAX_VERTICES)
         return cls(n, intake.vertex_mask(comp, n, "atom JSON field 'complemented'"))
-
-
-@functools.lru_cache(maxsize=None)  # keyed by (1, h) and (h + 1, n): a few dozen entries at most
-def _label_piece(lo: int, hi: int) -> tuple[list, list]:
-    """Texts and complemented lists of every mask c over the variables lo..hi
-    (bit i of c complements lo + i).  Texts of a piece not starting at 1 open
-    with a space, so that concatenated pieces give an atom's text."""
-    vs = range(lo, hi + 1)
-    lead = " " if lo > 1 and vs else ""
-    flags = [[(c >> (v - lo)) & 1 for v in vs] for c in range(1 << len(vs))]
-    texts = [lead + " ".join(f"{v}'" if f else str(v) for v, f in zip(vs, fs)) for fs in flags]
-    return texts, [[v for v, f in zip(vs, fs) if f] for fs in flags]
-
-
-@functools.lru_cache(maxsize=None)
-def _label_masks(n: int) -> tuple[dict, dict]:
-    """The inverse of `_labels` for texts: mask of every low and high piece text."""
-    h = min(check_var_count(n, MAX_ATOM_VARS), PIECE_VARS)
-    return tuple({t: c for c, t in enumerate(_label_piece(lo, hi)[0])} for lo, hi in ((1, h), (h + 1, n)))
-
-
-def _labels(n: int, cmasks, kind: int) -> list:
-    """Piece `kind` of mask c's label is low[c & (2^h - 1)] + high[c >> h]."""
-    check_var_count(n, MAX_ATOM_VARS)
-    h = min(n, PIECE_VARS)
-    low, high, m = _label_piece(1, h)[kind], _label_piece(h + 1, n)[kind], (1 << h) - 1
-    return [low[c & m] + high[c >> h] for c in cmasks]  # each sum is a new str or list
-
-
-def atom_texts(n: int, cmasks) -> list[str]:
-    """`Atom(n, c).to_text()` for every complemented mask c of `cmasks`."""
-    return _labels(n, cmasks, 0)
-
-
-def atom_complements(n: int, cmasks) -> list[list[int]]:
-    """The sorted complemented variables of every mask c of `cmasks`."""
-    return _labels(n, cmasks, 1)
 
 
 def all_atoms(n: int) -> Iterator[Atom]:

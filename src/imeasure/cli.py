@@ -67,19 +67,14 @@ def cmd_mu(args) -> int:
 
 
 def cmd_check_mrf(args) -> int:
-    from .atoms import atom_texts
+    from ._labels import atom_texts
     from .measures import check_mrf
 
     mu, _ = _mu_from_args(args)
     g = Graph.from_json(intake.load(args.graph))
     res = check_mrf(mu, g, args.tol)
     texts = atom_texts(g.n, [a.complemented for a, _ in res.violations])
-    _emit(
-        {
-            "ok": res.ok,
-            "violations": [{"atom": t, "value": v} for t, (_, v) in zip(texts, res.violations)],
-        }
-    )
+    _emit({"ok": res.ok, "violations": [{"atom": t, "value": v} for t, (_, v) in zip(texts, res.violations)]})
     return 0 if res.ok else 1
 
 

@@ -11,8 +11,8 @@ children, so the walk never gets stuck.
 Every stage is typed at once from the connectivity tables of the stage-m-1
 and stage-m boundary graphs (`Graph.connected_table`).  A plan keeps one int8
 action code per atom of each stage, -1 for a disconnected atom, and derives
-`steps` from them.  Every export is written from the codes and the cached atom
-texts; the JSON one by an emitter in the layout of `json.dumps(..., indent=2)`.
+`steps` from them.  Every export is written from the codes and the atom
+texts of `_labels`; the JSON one by an emitter (see `_plan_json`).
 
 The plan is structural: actions plus atom bookkeeping, no geometry.
 """
@@ -26,7 +26,8 @@ from enum import Enum
 import numpy as np
 
 from . import _intake as intake
-from .atoms import BAR, Atom, AtomSet, atom_texts
+from ._labels import atom_cmasks, atom_texts, barred
+from .atoms import Atom, AtomSet
 from .graphs import MAX_ATOM_VARS, Graph
 from .subfield import g_star_closed_form
 
@@ -126,7 +127,7 @@ class DiagramPlan:
             if intake.var_count(m, MAX_ATOM_VARS) != i + 2:
                 raise ValueError("plan JSON steps out of order")
             texts, actions = intake.columns(rows, f"plan JSON step {m} field 'actions'", "atom", "action")
-            cmasks = intake.atom_cmasks(texts, m - 1, f"plan JSON step {m}")
+            cmasks = atom_cmasks(texts, m - 1, f"plan JSON step {m}")
             try:
                 ks = [_CODES[a] for a in actions]
             except (KeyError, TypeError):  # Action() names the first value that is not an action
@@ -137,7 +138,7 @@ class DiagramPlan:
             code[cmasks] = ks
             codes.append(code.tobytes())
         flags = np.zeros((1 << n) - 1, dtype=bool)
-        flags[intake.atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
+        flags[atom_cmasks(final, n, "plan JSON field 'final_type1'")] = True
         plan = cls(n, sequence, tuple(codes), AtomSet.from_flags(n, flags))
         g = sequence[-1]
         if g.n != n or g.vmask != (1 << n) - 1:
@@ -224,8 +225,8 @@ def export_plan(plan: DiagramPlan, fmt: str = "json") -> str:
             for code, act in enumerate(_ACTIONS):
                 names = [t for t, k in zip(texts, ks) if k == code]
                 if names:
-                    lines.append(f"  {act.value:8s} {', '.join(names)}".replace("'", BAR))
-        kept = ", ".join(atom_texts(plan.n, plan.final_type1.cmasks())).replace("'", BAR)
+                    lines.append(barred(f"  {act.value:8s} {', '.join(names)}"))
+        kept = barred(", ".join(atom_texts(plan.n, plan.final_type1.cmasks())))
         lines.append(f"kept atoms ({len(plan.final_type1)}): {kept}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

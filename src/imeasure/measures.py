@@ -11,28 +11,12 @@ Joint entropies come from one engine, `_lattice_entropies`, which returns the
 entropies of a whole interval of the subset lattice: every set `base | S` with
 `S` inside `free`.  The full entropy vector is the interval from the empty set,
 a single atom query the interval from its complemented set, and one marginal
-an interval of one set.  Variables constant on the support are dropped first,
-since they change no entropy.  With `s` support rows, `k` free variables and
-`C` the product of the alphabet sizes counted on the support, the engine takes
-one of two paths:
-
-- dense, when C <= min(DENSE_MAX_CELLS, DENSE_RATIO * s): build the joint
-  probability tensor and walk the lattice depth-first, each child marginal one
-  axis-sum of its parent, then one star batch per subtree that fits the
-  budget: as soon as the star table of a subtree (each droppable axis given
-  one more "summed out" slot) holds at most BATCH_CELLS cells, all 2^limit
-  entropies of the subtree come from that one table in about 4 limit + 8
-  numpy calls.  Memory stays within about twice the joint tensor plus twice
-  BATCH_CELLS cells.  Cost: about prod(1 + alphabet) cells per free axis,
-  plus a few numpy steps per set walked above the batches (none when the
-  root fits).
-- sparse, otherwise: partition the support rows by the symbols of the set,
-  refining one variable at a time; a row's label becomes the dense rank of
-  (label, symbol), found by argsort and run starts, and the marginal weights
-  are sums over the runs (`np.add.reduceat`).  Labels stay below `s`, so no
-  code overflows however many variables there are.  Label rows of many sets
-  are refined together in batches of at most BATCH_CELLS labels.
-  Cost: about 2^k s log s.
+an interval of one set.  Variables constant on the support are dropped first.
+With `s` support rows and `C` the product of the alphabet sizes counted on the
+support, the engine walks the lattice over the joint tensor (`_dense_walk`)
+when C <= min(DENSE_MAX_CELLS, DENSE_RATIO * s), and refines partitions of
+the support rows (`_sparse_walk`) otherwise; README.md ("How entropies are
+computed") gives both paths' costs and memory.
 
 Tolerances: "vanishes" always means abs(value) <= tol, never a signed test,
 and every tol must be a finite number >= 0.
@@ -48,7 +32,8 @@ import numpy as np
 
 from . import _intake as intake
 from ._bits import as_mask, check_var_count, iter_bits, verts_of
-from .atoms import Atom, AtomSet, AtomType, FCMI, atom_texts, image_of_fcmi, image_of_partial, type_of_atom
+from ._labels import atom_cmasks, atom_texts, subset_keys, subset_masks
+from .atoms import Atom, AtomSet, AtomType, FCMI, image_of_fcmi, image_of_partial, type_of_atom
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph, maximal_cliques
 
 PROB_TOL = 1e-12
@@ -357,7 +342,7 @@ class EntropyVector:
     __slots__ = ("n", "base", "table")
 
     def __init__(self, n: int, base: float, table: np.ndarray):
-        _store_table(self, n, base, table, "entropy", 0, lambda m: f"subset {','.join(map(str, verts_of(m)))}")
+        _store_table(self, n, base, table, "entropy", 0, lambda m: f"subset {subset_keys(n, [m])[0]}")
 
     def h(self, subset) -> float:
         m = as_mask(subset, self.n)
@@ -379,15 +364,12 @@ class EntropyVector:
         )
 
     def to_json(self) -> dict:
-        h = {
-            ",".join(map(str, verts_of(m))): float(self.table[m])
-            for m in range(1, 1 << self.n)
-        }
+        h = dict(zip(subset_keys(self.n, range(1, 1 << self.n)), self.table[1:].tolist()))
         return {"n": self.n, "base": self.base, "h": h}
 
     @classmethod
     def from_json(cls, d: dict) -> "EntropyVector":
-        return cls(*intake.lattice_table(d, "entropy", "h", "subset", intake.subset_masks, MAX_ATOM_VARS))
+        return cls(*intake.lattice_table(d, "entropy", "h", "subset", subset_masks, MAX_ATOM_VARS))
 
 
 class IMeasureVector:
@@ -397,7 +379,7 @@ class IMeasureVector:
 
     def __init__(self, n: int, base: float, table: np.ndarray):
         # entry -1 belongs to the all-complemented atom, which is empty
-        _store_table(self, n, base, table, "measure", -1, lambda c: f"atom {Atom(n, c).to_text()}")
+        _store_table(self, n, base, table, "measure", -1, lambda c: f"atom {atom_texts(n, [c])[0]}")
 
     def value(self, a: Atom) -> float:
         if a.n != self.n:
@@ -420,7 +402,7 @@ class IMeasureVector:
 
     @classmethod
     def from_json(cls, d: dict) -> "IMeasureVector":
-        return cls(*intake.lattice_table(d, "measure", "values", "atom", intake.atom_cmasks, MAX_ATOM_VARS))
+        return cls(*intake.lattice_table(d, "measure", "values", "atom", atom_cmasks, MAX_ATOM_VARS))
 
 
 # -- lattice transforms ------------------------------------------------------
@@ -433,11 +415,10 @@ def _superset_sums(values: np.ndarray, n: int, sign: float = 1.0) -> np.ndarray:
     zeros included, so the signed form matches a plain subtraction bit for bit.
     """
     out = values.copy()
-    idx = np.arange(1 << n)
-    for b in range(n):
-        bit = 1 << b
-        lo = idx[(idx & bit) == 0]
-        out[lo] += sign * out[lo | bit]
+    v = out.reshape((2,) * n)  # a view: bit b of the index is axis n - 1 - b
+    for axis in reversed(range(n)):  # bit 0 first
+        at = (slice(None),) * axis
+        v[at + (0,)] += sign * v[at + (1,)]
     return out
 
 
@@ -477,10 +458,7 @@ def atom_measure_from_distribution(p: Distribution, a: Atom, base: float = 2.0) 
     if a.n != p.n:
         raise ValueError("atom over a different variable count")
     lb = _log_base(base)
-    signs = np.array([-1.0])  # -1 where the plain subset has even size
-    for _ in range(a.weight):
-        signs = np.concatenate([signs, -signs])
-    return float(signs @ _lattice_entropies(p, a.complemented, a.support_mask)) / lb
+    return float(-_superset_sums(_lattice_entropies(p, a.complemented, a.support_mask), a.weight, -1.0)[0]) / lb
 
 
 # -- expressions over the measure --------------------------------------------

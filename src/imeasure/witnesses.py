@@ -18,14 +18,7 @@ MAX_FIELD = 257
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 class FieldSpec:
@@ -43,11 +36,7 @@ class FieldSpec:
             raise ValueError(f"field size {q} outside 2..{MAX_FIELD}")
         if add is None and mul is None:
             if not _is_prime(q):
-                raise ValueError(
-                    f"{q} is not prime; supply explicit add/mul tables for prime powers"
-                )
-            self._add = None
-            self._mul = None
+                raise ValueError(f"{q} is not prime; supply explicit add/mul tables for prime powers")
         else:
             if add is None or mul is None:
                 raise ValueError("supply both tables or neither")
@@ -58,9 +47,7 @@ class FieldSpec:
                     raise ValueError("tables must be q x q")
                 if any(not 0 <= v < q for row in t for v in row):
                     raise ValueError("table entries must be field elements")
-            self._add = add
-            self._mul = mul
-        self.q = q
+        self.q, self._add, self._mul = q, add, mul
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:

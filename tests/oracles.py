@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -290,3 +291,18 @@ def random_full_independency(rng: random.Random, n: int):
     cuts = sorted(rng.sample(range(1, len(rest)), rng.randint(1, len(rest) - 1)))
     groups = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)])]
     return given, groups
+
+
+# -- labels ----------------------------------------------------------------------
+
+
+def subset_mask_by_pattern(key: str, n: int) -> int:
+    """Mask of one subset key, read by a pattern: ASCII digit runs joined by
+    commas, each naming a vertex of 1..n, no vertex twice.  Raises ValueError
+    on any other key."""
+    if re.fullmatch(r"[0-9]+(,[0-9]+)*", key) is None:
+        raise ValueError(f"not a key: {key!r}")
+    vs = [int(t) for t in key.split(",")]
+    if len(set(vs)) != len(vs) or not all(1 <= v <= n for v in vs):
+        raise ValueError(f"key {key!r} does not name distinct vertices of 1..{n}")
+    return sum(1 << (v - 1) for v in vs)

@@ -24,7 +24,7 @@ from imeasure import (
     recover_graph,
     type_of_atom,
 )
-from imeasure.atoms import atom_complements, atom_texts
+from imeasure._labels import atom_complements, atom_texts
 
 from oracles import image_of_fcmi_by_parts, iter_full_independencies, random_full_independency, random_edges
 

@@ -367,9 +367,9 @@ def test_json_counts_and_vertices_must_be_integers(capsys, tmp_path):
 
 
 def test_entropy_json_keys_naming_one_subset_exit_two(capsys, tmp_path):
-    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": {"1": 1.0, "1,1": 1.0, "1,2": 2.0}})
+    hpath = write_json(tmp_path, "h.json", {"n": 2, "base": 2.0, "h": {"1": 1.0, "2,1": 2.0, "1,2": 2.0}})
     code, out, err = run_cli(capsys, "mu", "--entropy", hpath)
-    assert_input_error(code, out, err, "entropy JSON keys '1' and '1,1' name the same subset")
+    assert_input_error(code, out, err, "entropy JSON keys '2,1' and '1,2' name the same subset")
 
 
 def test_entropy_json_field_h_must_be_an_object(capsys, tmp_path):

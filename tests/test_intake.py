@@ -23,8 +23,7 @@ from imeasure import (
     measure_from_distribution,
     subtree_condition,
 )
-from imeasure._intake import atom_cmasks
-from imeasure.atoms import BAR, atom_texts
+from imeasure._labels import BAR, atom_cmasks, atom_texts
 from imeasure.cli import main
 
 from conftest import fixture_path

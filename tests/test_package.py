@@ -20,13 +20,16 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = "tests/fixtures"
 INPUTS = "tests/golden/inputs"
 
-# run in a fresh interpreter: the argv (or null for a bare `import imeasure`)
-# comes in as JSON, and the exit code and sys.modules go out as JSON
+# run in a fresh interpreter: the argv (or null for a bare `import imeasure`, or
+# a module name to import) comes in as JSON, and the exit code and sys.modules go out as JSON
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 argv = json.loads(sys.argv[1])
 if argv is None:
     import imeasure
+    code = None
+elif isinstance(argv, str):
+    importlib.import_module(argv)
     code = None
 else:
     from imeasure.cli import main
@@ -53,6 +56,13 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert "imeasure" in modules
     assert not {m for m in modules if m.startswith("imeasure.")}
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("module", ["imeasure._labels", "imeasure._intake"])
+def test_label_and_intake_modules_load_no_atoms_and_no_numpy(module):
+    _, modules = loaded_after(module)
+    assert module in modules
+    assert not modules & {"numpy", "imeasure.atoms", *HEAVY}
 
 
 @pytest.mark.parametrize(
