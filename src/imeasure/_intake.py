@@ -4,7 +4,6 @@ in README.md.  A fault raises ValueError with a one-line message: CLI exit 2."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import reprlib
@@ -83,23 +82,26 @@ def vertex_mask(values, n: int, what: str) -> int:
     return as_mask(values, n)
 
 
-def vertex_lists(rows, n: int, what: str, each=None) -> np.ndarray:
-    """Masks of a JSON list of vertex lists, read in bulk.  On a fault the
-    lists are read one by one, each mask passed to `each`, so the first
-    faulty list decides the message."""
+def vertex_lists(rows, n: int, what: str, each=lambda m: None) -> np.ndarray:
+    """Int64 masks of a JSON list of vertex lists (n <= 63), read in one pass.  On a fault they are
+    read list by list, each mask passed to `each`, so the first faulty list decides the message."""
     import numpy as np
 
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError(f"{what} must be a list of vertex lists")
-    flat = list(itertools.chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int} or (flat and not 1 <= min(flat) <= max(flat) <= n):
+    flat: list = []
+    for r in rows if isinstance(rows, list) else [None]:
+        if not isinstance(r, list):
+            raise ValueError(f"{what} must be a list of vertex lists")
+        flat += r
+    try:  # bytes() takes ints in 0..255, and bools too: hence the type scan
+        vs = np.frombuffer(bytes(flat), dtype=np.uint8) if set(map(type, flat)) <= {int} else None
+    except ValueError:
+        vs = None
+    if vs is None or vs.size and not 1 <= vs.min() <= vs.max() <= n:
         for r in rows:
-            m = vertex_mask(r, n, what)
-            if each is not None:
-                each(m)
-    hit = np.zeros((len(rows), n), dtype=bool)
-    hit[np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.array(flat, dtype=np.intp) - 1] = True
-    return hit @ (1 << np.arange(n))
+            each(vertex_mask(r, n, what))
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bits = np.append(np.left_shift(1, vs - 1, dtype=np.int64), 0)  # the 0 is where a trailing empty list starts
+    return np.where(sizes > 0, np.bitwise_or.reduceat(bits, sizes.cumsum() - sizes), 0)  # else the next list's bit
 
 
 def lattice_table(d, what: str, field: str, noun: str, masks_of, cap: int) -> tuple[int, float, np.ndarray]:

@@ -267,13 +267,11 @@ class AtomSet:
 
         n, rows = intake.fields(d, "atom set JSON", "n", "atoms")
         n = intake.var_count(n, MAX_ATOM_VARS)
-        full = (1 << n) - 1
-        masks = intake.vertex_lists(rows, n, "atom set JSON field 'atoms'", each=functools.partial(Atom, n))
-        if (masks == full).any():
-            Atom(n, full)  # the all-complemented atom is empty: raises
-        flags = np.zeros(full, dtype=bool)
-        flags[masks] = True
-        return cls.from_flags(n, flags)
+        flags = np.zeros(1 << n, dtype=bool)
+        flags[intake.vertex_lists(rows, n, "atom set JSON field 'atoms'", each=functools.partial(Atom, n))] = True
+        if flags[-1]:
+            Atom(n, (1 << n) - 1)  # the all-complemented atom is empty: raises
+        return cls.from_flags(n, flags[:-1])
 
 
 class AtomType(Enum):

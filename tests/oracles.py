@@ -20,6 +20,7 @@ from collections import deque
 import numpy as np
 
 from imeasure import AtomSet, Graph, elimination_sequence
+from imeasure._intake import vertex_mask
 
 
 # -- graphs ------------------------------------------------------------------
@@ -306,3 +307,20 @@ def subset_mask_by_pattern(key: str, n: int) -> int:
     if len(set(vs)) != len(vs) or not all(1 <= v <= n for v in vs):
         raise ValueError(f"key {key!r} does not name distinct vertices of 1..{n}")
     return sum(1 << (v - 1) for v in vs)
+
+
+# -- vertex lists ----------------------------------------------------------------
+
+
+def vertex_lists_by_row(rows, n: int, what: str, each=None) -> np.ndarray:
+    """Masks of a JSON list of vertex lists, read one list at a time by the
+    single-list rule (`vertex_mask`), each mask passed to `each` as it is read:
+    the reference for the bulk `_intake.vertex_lists`."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{what} must be a list of vertex lists")
+    masks = []
+    for r in rows:
+        masks.append(vertex_mask(r, n, what))
+        if each is not None:
+            each(masks[-1])
+    return np.array(masks, dtype=np.int64)

@@ -1,6 +1,7 @@
 """The input rules every JSON reader and CLI input shares (README "Input rules")."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from imeasure import (
+    FCMI,
     Atom,
+    AtomSet,
     DiagramPlan,
     Distribution,
     Graph,
@@ -20,13 +23,16 @@ from imeasure import (
     atom_concentrator,
     build_plan,
     export_plan,
+    image_of_graph,
     measure_from_distribution,
     subtree_condition,
 )
+from imeasure._intake import vertex_lists
 from imeasure._labels import BAR, atom_cmasks, atom_texts
 from imeasure.cli import main
 
 from conftest import fixture_path
+from oracles import vertex_lists_by_row
 
 HUGE = 10**30
 
@@ -71,6 +77,103 @@ def test_measure_json_round_trip_reads_in_bulk(xor3):
     assert np.array_equal(IMeasureVector.from_json(d).table, mu.table)
     d["values"] = dict(reversed(list(d["values"].items())))  # any key order
     assert np.array_equal(IMeasureVector.from_json(d).table, mu.table)
+
+
+# -- vertex lists: the bulk reader gives the per-row reader's verdicts -------------------------
+
+
+def verdict(read, *args):
+    """What a reader returns, or the message it raises."""
+    try:
+        return read(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def vertex_list_verdicts(rows, n):
+    """(bulk, per-row) verdicts of `vertex_lists`, `AtomSet.from_json` and `FCMI.from_json`."""
+    what = "atom set JSON field 'atoms'"
+
+    def atom_set(masks):  # the set of the masks: the reference's AtomSet
+        return AtomSet(n, sum(1 << m for m in set(masks.tolist())))
+
+    def fcmi(masks):
+        return FCMI(n, 0, tuple(masks.tolist()))
+
+    def masks_of(read):
+        def masks(*args):
+            m = read(*args)
+            return m.dtype.name, m.tolist()
+
+        return masks
+
+    return [
+        (verdict(masks_of(vertex_lists), rows, n, what), verdict(masks_of(vertex_lists_by_row), rows, n, what)),
+        (
+            verdict(AtomSet.from_json, {"n": n, "atoms": rows}),
+            verdict(lambda: atom_set(vertex_lists_by_row(rows, n, what, functools.partial(Atom, n)))),
+        ),
+        (
+            verdict(FCMI.from_json, {"n": n, "T": [], "Q": rows}),
+            verdict(lambda: fcmi(vertex_lists_by_row(rows, n, "independency JSON field 'Q'"))),
+        ),
+    ]
+
+
+def bad_vertices(n):
+    """Vertex values either reader must reject: not an int, or outside 1..n."""
+    return [True, False, 1.0, 1.5, "1", None, [1], 0, -1, n + 1, 255, 256, 2**63, 10**30]
+
+
+def test_vertex_lists_match_the_per_row_reader():
+    n, full = 3, [3, 1, 2]
+    assert vertex_lists([], n, "x").tolist() == [] and vertex_lists([[], []], n, "x").tolist() == [0, 0]
+    for rows in ("12", 3, [3], [[1], "1"], [[1], None], [[1], {}]):
+        for bulk, by_row in vertex_list_verdicts(rows, n):
+            assert bulk == by_row and bulk.endswith(" must be a list of vertex lists"), rows
+    for bad in bad_vertices(n):
+        # an all-complemented atom before, or after, the faulty list: the first fault decides
+        for rows in ([[1], [2, bad]], [full, [bad]], [[bad, 1], full], [[], [2, 2], [bad], [1, 3]]):
+            verdicts = vertex_list_verdicts(rows, n)
+            for bulk, by_row in verdicts:
+                assert bulk == by_row, (rows, bulk, by_row)
+            assert verdicts[0][0].startswith("ValueError: "), rows
+
+
+def test_vertex_lists_read_graph_images_as_the_per_row_reader_does():
+    for n in range(1, 14):  # n = 14..16 cost the per-row reference seconds; the test below reaches 16
+        img = image_of_graph(Graph.cycle(n) if n % 2 and n > 2 else Graph.path(n))
+        verdicts = vertex_list_verdicts(img.to_json()["atoms"], n)
+        assert all(bulk == by_row for bulk, by_row in verdicts) and verdicts[1][0] == img, n
+
+
+@st.composite
+def vertex_rows(draw):
+    """Vertex lists at n = 1..16, unsorted, with repeated vertices, empty
+    lists and repeated atoms; some get a bad vertex, a non-list row or the
+    all-complemented atom, each at a drawn place."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(st.integers(1, n), max_size=2 * n), max_size=12))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["vertex", "vertex", "full", "row"]))
+        if kind == "vertex":
+            row = list(rows[i]) if i < len(rows) and isinstance(rows[i], list) else []
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(bad_vertices(n))))
+            rows[i:i + 1] = [row]
+        else:
+            rows.insert(i, list(range(n, 0, -1)) if kind == "full" else draw(st.sampled_from([3, "1", None, {}])))
+    return n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_rows())
+def test_vertex_lists_match_the_per_row_reader_at_every_size(case):
+    n, rows = case
+    for bulk, by_row in vertex_list_verdicts(rows, n):
+        assert bulk == by_row
 
 
 # -- atom texts: the bulk reader gives Atom.from_text's verdicts ------------------------------
