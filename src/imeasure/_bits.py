@@ -26,16 +26,6 @@ def iter_bits(mask: int):
         mask ^= b
 
 
-def submasks(mask: int):
-    """Yield every submask of `mask`, from `mask` itself down to 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def as_mask(vertices, n: int | None = None) -> int:
     """Coerce an int mask or an iterable of vertices to a mask.
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _intake as intake
-from ._bits import as_mask, check_var_count, iter_bits, submasks, verts_of
+from ._bits import as_mask, check_var_count, iter_bits, verts_of
 from ._labels import atom_complements, atom_mask, atom_texts, barred
 from .graphs import MAX_ATOM_VARS, MAX_VERTICES, Graph
 
@@ -224,8 +225,7 @@ class AtomSet:
         return (self.bits >> c) & 1 == 1
 
     def __iter__(self) -> Iterator[Atom]:
-        for b in iter_bits(self.bits):
-            yield Atom(self.n, b.bit_length() - 1)
+        return map(functools.partial(Atom, self.n), self.cmasks())
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -282,6 +282,15 @@ class AtomType(Enum):
 # -- images ----------------------------------------------------------------
 
 
+def _select(n: int, avoid: int, groups, least: int) -> np.ndarray:
+    """Flags over the 2^n - 1 complemented masks: support avoids `avoid`, touches >= `least` groups."""
+    import numpy as np
+
+    check_var_count(n, MAX_ATOM_VARS)
+    support = ((1 << n) - 1) ^ np.arange((1 << n) - 1)
+    return (support & avoid == 0) & (sum((support & q) != 0 for q in groups) >= least)
+
+
 def image_of_fcmi(k: FCMI) -> AtomSet:
     """Atoms that must vanish for a full independency to hold.
 
@@ -290,39 +299,33 @@ def image_of_fcmi(k: FCMI) -> AtomSet:
     """
     if not k.is_full:
         raise ValueError("image_of_fcmi needs a full statement; use image_of_partial")
-    check_var_count(k.n, MAX_ATOM_VARS)
-    full = (1 << k.n) - 1
-    bits = 0
-    for w in submasks(full & ~k.given):  # supports avoiding the given set
-        if sum(1 for q in k.groups if w & q) >= 2:
-            bits |= 1 << (full & ~w)
-    return AtomSet(k.n, bits)
+    return AtomSet.from_flags(k.n, _select(k.n, k.given, k.groups, 2))
+
+
+def _part_rows(k: FCMI) -> np.ndarray:
+    """The parts of image_of_partial(k), one row of ascending complemented masks
+    each, rows by first mask.  A part's first mask c leaves every variable
+    outside the scope plain; its others are c | s for each submask s of those."""
+    import numpy as np
+
+    outside = ((1 << k.n) - 1) & ~k.scope
+    lows = np.flatnonzero(_select(k.n, k.given, k.groups, 2))
+    lows = lows[lows & outside == 0]
+    return lows[:, None] | np.flatnonzero(np.arange(outside + 1) & ~outside == 0)
 
 
 def image_of_partial(k: FCMI) -> list[AtomSet]:
-    """Expand a partial independency into per-part atom sets.
+    """Expand an independency into per-part atom sets, ordered by bitset.
 
-    Each prescribed set (one per admissible choice of group subsets) is not an
-    atom when the statement's scope misses variables; it expands to the atoms
-    whose support is the chosen support extended by any subset of the missing
-    variables.  For a full statement each part is the single prescribed atom.
+    Each part is one admissible choice of group subsets: the atoms whose support
+    is the chosen support plus any subset of the variables outside the scope.
+    For a full statement each part is a single image atom.
     """
-    check_var_count(k.n, MAX_ATOM_VARS)
-    full = (1 << k.n) - 1
-    outside = full & ~k.scope
-    parts = []
-    for choice in itertools.product(*(list(submasks(q)) for q in k.groups)):
-        if sum(1 for w in choice if w) < 2:
-            continue
-        base = 0
-        for w in choice:
-            base |= w
-        bits = 0
-        for ext in submasks(outside):
-            bits |= 1 << (full & ~(base | ext))
-        parts.append(AtomSet(k.n, bits))
-    parts.sort(key=lambda s: s.bits)
-    return parts
+    rows = _part_rows(k)  # checks n before any big int is built
+    # each part is one bitset shifted to its first mask: the sum of 2^s over every subset s
+    # of the variables outside the scope, which is the product of 1 + 2^m over their bits m
+    bits = math.prod(1 + (1 << m) for m in iter_bits(((1 << k.n) - 1) & ~k.scope))
+    return [AtomSet(k.n, bits << c) for c in rows[:, 0].tolist()]
 
 
 def recover_fcmi(img: AtomSet) -> FCMI:
@@ -336,15 +339,15 @@ def recover_fcmi(img: AtomSet) -> FCMI:
     otherwise the input is not an image and NotAnFcmiImage is raised.
     """
     n = img.n
-    full = (1 << n) - 1
     if len(img) == 0:
         raise NotAnFcmiImage("empty atom set")
-    best_w = max(a.weight for a in img)
-    best = [a for a in img if a.weight == best_w]
-    if len(best) != 1:
-        raise NotAnFcmiImage(f"no unique maximum-weight atom (found {len(best)})")
-    given = best[0].complemented
-    rest = verts_of(full & ~given)
+    cms = img.cmasks()
+    counts = list(map(int.bit_count, cms))  # the maximum weight has the fewest complemented
+    least = min(counts)
+    if counts.count(least) != 1:
+        raise NotAnFcmiImage(f"no unique maximum-weight atom (found {counts.count(least)})")
+    given = cms[counts.index(least)]
+    rest = verts_of(((1 << n) - 1) & ~given)
     if len(rest) < 2:
         raise NotAnFcmiImage("fewer than two variables outside the conditioning set")
 
@@ -399,13 +402,10 @@ def recover_graph(img: AtomSet) -> Graph:
 
 def image_of_collection(pi: Iterable[FCMI]) -> AtomSet:
     """Union of the images of a collection of full independencies."""
-    out: AtomSet | None = None
-    for k in pi:
-        im = image_of_fcmi(k)
-        out = im if out is None else out | im
-    if out is None:
+    images = [image_of_fcmi(k) for k in pi]
+    if not images:
         raise ValueError("empty independency collection")
-    return out
+    return functools.reduce(AtomSet.__or__, images)
 
 
 def implies(pi1: Sequence[FCMI], pi2: Sequence[FCMI]) -> bool:

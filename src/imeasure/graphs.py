@@ -10,7 +10,6 @@ which keeps atom indices stable when a graph shrinks.
 from __future__ import annotations
 
 import itertools
-import json
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -245,9 +244,6 @@ class Graph:
         lines += [f"  {u} -- {v};" for u, v in sorted(self.edges)]
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def clique_edges(vertices) -> frozenset[tuple[int, int]]:

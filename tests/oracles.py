@@ -6,7 +6,9 @@ and the atom measure from solving the defining linear system with numpy.
 The alternative constructions the library proves equal to its own (boundary
 graphs by path search and by elimination, independency images part by part)
 live here too, built on plain sets; they only wrap results in the library's
-`Graph` and `AtomSet` so that tests can compare them directly.
+`Graph` and `AtomSet` so that tests can compare them directly.  Submask
+loops over images, parts and group measures are the references for the
+library's vectorised atom selections.
 """
 
 from __future__ import annotations
@@ -277,6 +279,71 @@ def image_of_fcmi_by_parts(k) -> AtomSet:
     return AtomSet(k.n, sum(1 << c for c in cmasks))
 
 
+def _submasks(mask: int):
+    """Every submask of `mask`, from `mask` itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def image_of_fcmi_by_loop(k) -> AtomSet:
+    """Image of a full independency by a loop over the supports avoiding the given set."""
+    if not k.is_full:
+        raise ValueError("image_of_fcmi_by_loop needs a full statement")
+    full = (1 << k.n) - 1
+    bits = 0
+    for w in _submasks(full & ~k.given):
+        if sum(1 for q in k.groups if w & q) >= 2:
+            bits |= 1 << (full & ~w)
+    return AtomSet(k.n, bits)
+
+
+def image_of_partial_by_loop(k) -> list:
+    """Parts of an independency, one per choice of group subsets with at least
+    two nonempty, each extended by every subset of the variables outside the
+    scope; sorted by bitset."""
+    full = (1 << k.n) - 1
+    outside = full & ~k.scope
+    parts = []
+    for choice in itertools.product(*(list(_submasks(q)) for q in k.groups)):
+        if sum(1 for w in choice if w) < 2:
+            continue
+        base = 0
+        for w in choice:
+            base |= w
+        bits = 0
+        for ext in _submasks(outside):
+            bits |= 1 << (full & ~(base | ext))
+        parts.append(AtomSet(k.n, bits))
+    parts.sort(key=lambda s: s.bits)
+    return parts
+
+
+def measure_of_groups_by_loop(table, n: int, gmasks, mmask: int) -> float:
+    """Running sum, in mask order, of the atoms whose support avoids `mmask`
+    and touches every group."""
+    full = (1 << n) - 1
+    acc = 0.0
+    for c in range(full):
+        support = full & ~c
+        if support & mmask:
+            continue
+        if all(support & g for g in gmasks):
+            acc += table[c]
+    return float(acc)
+
+
+def fcmi_holds_by_loop(k, table, tol: float) -> bool:
+    """Full statements: every image atom vanishes; otherwise every part's
+    Python sum, in mask order, vanishes."""
+    if k.is_full:
+        return bool((np.abs(table[:-1][image_of_fcmi_by_loop(k).flags()]) <= tol).all())
+    return all(abs(sum(table[c] for c in part.cmasks())) <= tol for part in image_of_partial_by_loop(k))
+
+
 def relabel_atoms(atoms: AtomSet, mapping: dict[int, int]) -> AtomSet:
     """Apply a variable relabeling to every atom of a set."""
     cmasks = {sum(1 << (mapping[v] - 1) for v in a.complemented_set) for a in atoms}
@@ -292,6 +359,15 @@ def random_full_independency(rng: random.Random, n: int):
     cuts = sorted(rng.sample(range(1, len(rest)), rng.randint(1, len(rest) - 1)))
     groups = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)])]
     return given, groups
+
+
+def random_independency(rng: random.Random, n: int, full: bool):
+    """Random (given, groups) on 1..n with at least two groups; unless `full`,
+    on a random subset of at least two of the variables."""
+    m = n if full else rng.randint(2, n)
+    given, groups = random_full_independency(rng, m)
+    names = rng.sample(range(1, n + 1), m)  # relabel 1..m into the chosen variables
+    return [names[v - 1] for v in given], [[names[v - 1] for v in q] for q in groups]
 
 
 # -- labels ----------------------------------------------------------------------

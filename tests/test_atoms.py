@@ -26,7 +26,15 @@ from imeasure import (
 )
 from imeasure._labels import atom_complements, atom_texts
 
-from oracles import image_of_fcmi_by_parts, iter_full_independencies, random_full_independency, random_edges
+from oracles import (
+    image_of_fcmi_by_loop,
+    image_of_fcmi_by_parts,
+    image_of_partial_by_loop,
+    iter_full_independencies,
+    random_edges,
+    random_full_independency,
+    random_independency,
+)
 
 
 def atom(n, comp):
@@ -130,6 +138,25 @@ def test_image_of_partial_expansion():
     for p in singles[1:]:
         union = union | p
     assert union == image_of_fcmi(kf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), full=st.booleans())
+def test_images_and_parts_match_submask_loops(n, seed, full):
+    given_, groups = random_independency(random.Random(seed), n, full)
+    k = FCMI.of(n, given_, groups)
+    parts = image_of_partial(k)
+    assert parts == image_of_partial_by_loop(k)
+    if k.is_full:
+        assert image_of_fcmi(k) == image_of_fcmi_by_loop(k)
+        assert [p.cmasks() for p in parts] == [[c] for c in image_of_fcmi(k).cmasks()]
+
+
+def test_images_and_parts_match_submask_loops_at_sixteen():
+    k = FCMI.of(16, [16], [[1, 2, 3, 4], [5, 6, 7], [8, 9]])  # 10..15 outside the scope
+    assert image_of_partial(k) == image_of_partial_by_loop(k)
+    kf = FCMI.of(16, [16], [[1, 2, 3, 4], [5, 6, 7], [8, 9], [10, 11, 12, 13, 14, 15]])
+    assert image_of_fcmi(kf) == image_of_fcmi_by_loop(kf)
 
 
 def test_fcmi_validation():
@@ -359,3 +386,12 @@ def test_atom_typing_caps_at_sixteen_vertices():
     with pytest.raises(ValueError, match="up to 16"):
         type_of_atom(g, Atom(17, 0))
     assert type_of_atom(Graph.path(16), Atom.of(16, [8])) is AtomType.TYPE_II
+
+
+def test_images_check_the_variable_count_before_building_anything():
+    # a 40-variable statement is valid; its image or parts would need 2^40 atoms
+    for image in (image_of_fcmi, image_of_partial):
+        with pytest.raises(ValueError, match="variable count 40 outside 1..16"):
+            image(FCMI.of(40, [], [range(1, 21), range(21, 41)]))
+    with pytest.raises(ValueError, match="variable count 40 outside 1..16"):
+        image_of_partial(FCMI.of(40, [40], [[1], [2]]))

@@ -34,6 +34,17 @@ def test_layers_prints_one_json_line_at_tiny_sizes(layers, capsys):
     path3 = result["layers"]["atomset.from_json"]["path-3"]
     assert (path3["n"], path3["atoms"]) == (3, 1)  # the one cutset of a 3-path is its middle vertex
     assert result["layers"]["atomset.to_json"]["grid-2x3"]["n"] == 6
+    expr = {layer: rows for layer, rows in result["layers"].items() if not layer.startswith("atomset.")}
+    assert list(expr) == [
+        "atoms.image_of_fcmi",
+        "atoms.image_of_partial",
+        "measures.fcmi_holds",
+        "measures.measure_of_groups",
+        "atoms.recover_fcmi",
+    ]
+    assert all(0 <= row["best_s"] <= row["median_s"] for rows in expr.values() for row in rows.values())
+    assert expr["atoms.image_of_fcmi"]["full-4"]["atoms"] == 16339
+    assert [row["parts"] for row in expr["atoms.image_of_partial"].values()] == [238, 4]
 
 
 def test_layers_graph_names(layers):

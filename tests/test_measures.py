@@ -16,6 +16,7 @@ from imeasure import (
     EntropyVector,
     FCMI,
     Graph,
+    IMeasureVector,
     atom_measure_from_distribution,
     chain_inequality_valid,
     check_mrf,
@@ -40,9 +41,13 @@ from imeasure import (
 from oracles import (
     conditional_mi,
     entropy_direct,
+    fcmi_holds_by_loop,
+    image_of_partial_by_loop,
+    measure_of_groups_by_loop,
     mu_by_linear_solve,
     mutual_independence_holds,
     random_distribution,
+    random_independency,
     restrict_entropy_by_loop,
 )
 
@@ -606,6 +611,54 @@ def test_hypothesis_measure_round_trip(n, seed):
     p = Distribution(n, (2,) * n, random_distribution(rng, n))
     h = entropy_vector(p, 2.0)
     assert entropy_from_mu(mu_from_entropy(h)).allclose(h, 1e-9)
+
+
+def signed_zero_measure(k: FCMI, seed: int, vanish: float) -> IMeasureVector:
+    """A measure mixing unit-scale and 1e-10-scale values with +0.0 and -0.0
+    entries, in which each part of k's image is all -0.0 with chance `vanish`."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=1 << k.n) * rng.choice([1.0, 1e-10], size=1 << k.n)
+    table[rng.random(1 << k.n) < 0.2] = 0.0
+    table[rng.random(1 << k.n) < 0.2] = -0.0
+    for part in image_of_partial_by_loop(k):
+        if rng.random() < vanish:
+            table[part.cmasks()] = -0.0
+    return IMeasureVector(k.n, 2.0, table)
+
+
+def assert_selections_match_loops(k: FCMI, mu: IMeasureVector, groups, minus: int):
+    sums = [abs(sum(mu.table[c] for c in part.cmasks())) for part in image_of_partial_by_loop(k)]
+    for tol in (0.0, 1e-9, 1e-6, 1.0, sums[len(sums) // 2], max(sums)):  # a tol equal to a part's |sum|
+        assert fcmi_holds(k, mu, tol) == fcmi_holds_by_loop(k, mu.table, tol)
+    for gs, m in ((list(k.groups), k.given), (groups, minus)):
+        got = np.float64(measure_of_groups(mu, gs, m)).tobytes()
+        assert got == np.float64(measure_of_groups_by_loop(mu.table, k.n, gs, m)).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    full=st.booleans(),
+    vanish=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_group_measures_and_verdicts_match_loops(n, seed, full, vanish):
+    rng = random.Random(seed)
+    k = FCMI.of(n, *random_independency(rng, n, full))
+    minus = rng.getrandbits(n) & rng.getrandbits(n) & ~(1 << rng.randrange(n))
+    free = ((1 << n) - 1) & ~minus
+    groups = [q for q in (rng.getrandbits(n) & free for _ in range(rng.randint(1, 4))) if q] or [free]
+    assert_selections_match_loops(k, signed_zero_measure(k, seed, vanish), groups, minus)
+
+
+def test_group_measures_and_verdicts_match_loops_at_sixteen():
+    k = FCMI.of(16, [16], [[1, 2, 3, 4], [5, 6, 7], [8, 9]])  # 10..15 outside the scope
+    assert_selections_match_loops(k, signed_zero_measure(k, 16, 0.5), [0b1010_0000_0000_0001, 0b110], 1 << 10)
+
+
+def test_group_measure_of_signed_zeros_is_positive_zero():
+    mu = IMeasureVector(3, 2.0, np.full(8, -0.0))
+    assert np.float64(measure_of_groups(mu, [[1], [2]])).tobytes() == np.float64(0.0).tobytes()
 
 
 # -- input boundary ------------------------------------------------------------------------
